@@ -16,9 +16,11 @@ reports in this common quotient indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Sequence
 
+from .cliques import _bron_kerbosch
 from .complexes import CapExceeded, SimplicialComplex
 from .graphs import Graph, cut_component_sum
 
@@ -41,48 +43,26 @@ def _comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
 
-def _int_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    rows = [r for r in rows if any(r)]
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    r = c = 0
-    while r < nrows and c < ncols:
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
-            c += 1
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            for j in range(c + 1, ncols):
-                ri[j] = (piv * ri[j] - f * top[j]) // prev
-            ri[c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        c += 1
-    return rank
+def _faces_by_dim(facet_masks: Sequence[int], face_cap: int) -> list[list[int]]:
+    """All nonempty faces as bitmasks, grouped by dimension, sorted.
 
-
-def _faces_by_dim(facet_masks: Sequence[int]) -> list[list[int]]:
-    """All nonempty faces as bitmasks, grouped by dimension, sorted."""
+    Raises :class:`CapExceeded` as soon as more than ``face_cap`` distinct
+    faces have been generated, so the work done is bounded by the cap.
+    """
     seen: set[int] = set()
     for fm in facet_masks:
+        # A facet adds at most 2^|F| - 1 faces: count one by one only when
+        # those could pass the cap.
+        guarded = len(seen) + (1 << fm.bit_count()) - 1 > face_cap
         sub = fm
-        while True:
-            if sub:
-                seen.add(sub)
-            if sub == 0:
-                break
+        while sub:
+            seen.add(sub)
+            if guarded and len(seen) > face_cap:
+                raise CapExceeded(f"face count exceeds cap {face_cap}")
             sub = (sub - 1) & fm
     if not seen:
         return []
-    top = max(m.bit_count() for m in seen)
+    top = max(fm.bit_count() for fm in facet_masks)
     by_dim: list[list[int]] = [[] for _ in range(top)]
     for m in seen:
         by_dim[m.bit_count() - 1].append(m)
@@ -91,39 +71,81 @@ def _faces_by_dim(facet_masks: Sequence[int]) -> list[list[int]]:
     return by_dim
 
 
+def _component_count(facet_masks: Sequence[int]) -> int:
+    """Connected components of the complex with these (nonempty) facets."""
+    comps: list[int] = []
+    for fm in facet_masks:
+        rest = []
+        for c in comps:
+            if c & fm:
+                fm |= c
+            else:
+                rest.append(c)
+        rest.append(fm)
+        comps = rest
+    return len(comps)
+
+
+def _boundary_rank(faces: Sequence[int], rows: Sequence[int]) -> int:
+    """Rank over Q of the boundary map from ``faces`` (all k-faces) to
+    ``rows`` (all (k-1)-faces, sorted).
+
+    Exact sparse column reduction over the integers: each column is reduced
+    against the earlier columns by its lowest row.  A unit pivot eliminates
+    directly; a non-unit pivot p first scales the reduced column by p, an
+    invertible operation over Q, so the rank over Q is kept.
+    """
+    index = {m: i for i, m in enumerate(rows)}
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+    for face in faces:
+        col: dict[int, int] = {}
+        sign = 1
+        t = face
+        while t:
+            b = t & -t
+            t ^= b
+            col[index[face ^ b]] = sign
+            sign = -sign
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                break
+            p, f = other[low], col[low]
+            if p == 1 or p == -1:
+                f *= p
+            else:
+                col = {r: p * v for r, v in col.items()}
+            for r, v in other.items():
+                x = col.get(r, 0) - f * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
+
+
 def _homology_dims(facet_masks: Sequence[int], face_cap: int) -> tuple[int, ...]:
     """Reduced homology dimensions over a characteristic-zero field.
 
     Returns ``dims`` with ``dims[k + 1] = dim H~_k`` for k = -1 .. dim.
-    Uses the reduced chain complex (the empty face included), with boundary
-    ranks computed exactly.
+    Uses the reduced chain complex (the empty face included).  Rank of the
+    vertex-to-empty-face map is 1, rank of the edge boundary is #vertices
+    minus #components, and the higher boundary ranks come from
+    :func:`_boundary_rank`: exact over Q, with no modular arithmetic, so
+    torsion (as in RP^2) never shows up as homology.  Raises
+    :class:`CapExceeded` once the face count passes ``face_cap``.
     """
-    by_dim = _faces_by_dim(facet_masks)
+    by_dim = _faces_by_dim(facet_masks, face_cap)
     if not by_dim:
         return (1,)  # empty complex: only H~_-1 survives
-    if sum(len(b) for b in by_dim) > face_cap:
-        raise CapExceeded(f"face count exceeds cap {face_cap}")
     top = len(by_dim)
-    index = [
-        {m: i for i, m in enumerate(bucket)} for bucket in by_dim
-    ]
     ranks = [0] * (top + 1)  # ranks[k] = rank of boundary C_k -> C_(k-1)
-    ranks[0] = 1 if by_dim[0] else 0  # every vertex maps to the empty face
-    for k in range(1, top):
-        cols = by_dim[k]
-        if not cols or not by_dim[k - 1]:
-            continue
-        rows = [[0] * len(cols) for _ in range(len(by_dim[k - 1]))]
-        row_index = index[k - 1]
-        for j, face in enumerate(cols):
-            sign = 1
-            t = face
-            while t:
-                b = t & -t
-                t ^= b
-                rows[row_index[face ^ b]][j] = sign
-                sign = -sign
-        ranks[k] = _int_rank(rows, len(cols))
+    ranks[0] = 1  # every vertex maps to the empty face
+    ranks[1] = len(by_dim[0]) - _component_count(facet_masks)
+    for k in range(2, top):
+        ranks[k] = _boundary_rank(by_dim[k], by_dim[k - 1])
     dims = [0] * (top + 1)
     dims[0] = 1 - ranks[0]  # H~_-1
     for k in range(top):
@@ -174,36 +196,108 @@ class BettiTable:
         }
 
 
+def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
+    """Adjacency masks of the 1-skeleton when the complex is flag, else None.
+
+    The complex is flag (the clique complex of its 1-skeleton) exactly when
+    every vertex is a face and the facets are the maximal cliques of the
+    1-skeleton.
+    """
+    adj = [0] * n
+    covered = 0
+    for fm in facet_masks:
+        covered |= fm
+        t = fm
+        while t:
+            b = t & -t
+            t ^= b
+            adj[b.bit_length() - 1] |= fm ^ b
+    if covered != (1 << n) - 1:
+        return None
+    if set(_bron_kerbosch(adj, covered)) != set(facet_masks):
+        return None
+    return adj
+
+
+def _strong_core(adj: Sequence[int], w: int) -> tuple[int, bool]:
+    """Delete dominated vertices of G[w] until none is left.
+
+    v is dominated by a neighbor u when N[v] is inside N[u] within w.
+    Deleting v is a strong collapse of the clique complex, so the returned
+    core has the homotopy type of G[w]'s clique complex.  Also returns
+    whether the core has an edge.
+    """
+    changed = True
+    while changed:
+        changed = has_edge = False
+        t = w
+        while t:
+            b = t & -t
+            t ^= b
+            nv = adj[b.bit_length() - 1] & w
+            if not nv:
+                continue
+            has_edge = True
+            closed = nv | b
+            s = nv
+            while s:
+                c = s & -s
+                s ^= c
+                # N[v] lies in N[u] when u is the only member outside N(u)
+                if closed & ~adj[c.bit_length() - 1] == c:
+                    w ^= b
+                    changed = True
+                    break
+    return w, has_edge
+
+
 def _hochster_scan(
-    facet_masks: Sequence[int], lo: int, hi: int, face_cap: int
+    facet_masks: Sequence[int],
+    adj: Sequence[int] | None,
+    lo: int,
+    hi: int,
+    face_cap: int,
 ) -> dict:
-    """Hochster contributions of the vertex subsets with masks in [lo, hi)."""
+    """Hochster contributions of the vertex subsets with masks in [lo, hi).
+
+    With ``adj`` (flag input) each restriction is first collapsed to its
+    strong core; without it the facets are restricted and re-maximalized.
+    """
     entries: dict = {}
     for wmask in range(lo, hi):
         j = wmask.bit_count()
-        cands = {fm & wmask for fm in facet_masks}
-        cands.discard(0)
-        sub = [c for c in cands if not any(c != o and c & ~o == 0 for o in cands)]
-        if sub:
-            common = sub[0]
-            for c in sub[1:]:
-                common &= c
-            if common:
-                continue  # cone, hence contractible: no contribution
-            dims = _homology_dims(sub, face_cap)
+        if adj is None:
+            cands = {fm & wmask for fm in facet_masks}
+            cands.discard(0)
+            sub = [c for c in cands if not any(c != o and c & ~o == 0 for o in cands)]
+            if sub:
+                common = sub[0]
+                for c in sub[1:]:
+                    common &= c
+                if common:
+                    continue  # cone, hence contractible: no contribution
+                dims = _homology_dims(sub, face_cap)
+            else:
+                dims = (1,)  # restriction is the empty complex
         else:
-            dims = (1,)  # restriction is the empty complex
+            core, has_edge = _strong_core(adj, wmask)
+            if has_edge:
+                dims = _homology_dims(_bron_kerbosch(adj, core), face_cap)
+            elif core & (core - 1):
+                # k >= 2 isolated points: only H~_0, of rank k - 1
+                key = (j - 1, j)
+                entries[key] = entries.get(key, 0) + core.bit_count() - 1
+                continue
+            elif core:
+                continue  # one point: contractible
+            else:
+                dims = (1,)  # W is empty
         for kk, h in enumerate(dims):
             if h:
                 k = kk - 1
                 key = (j - k - 1, j)
                 entries[key] = entries.get(key, 0) + h
     return entries
-
-
-def _hochster_worker(args: tuple) -> dict:
-    facet_masks, lo, hi, face_cap = args
-    return _hochster_scan(facet_masks, lo, hi, face_cap)
 
 
 def full_betti_hochster(
@@ -217,30 +311,48 @@ def full_betti_hochster(
     For every vertex subset W the reduced (co)homology of the restriction
     contributes ``dim H~_(|W|-i-2)`` to ``beta_{i+1,|W|}``; over a field of
     characteristic zero homology and cohomology dimensions agree, so the
-    homology engine above is used directly.  Cost is exponential in n,
-    hence the vertex cap.  With ``jobs > 1`` the subset range is split into
-    contiguous blocks whose partial tables are merged in fixed order;
-    results are bit-identical to the sequential run.
+    homology engine above is used directly, with boundary ranks exact over
+    Q.  Cost is exponential in n, hence the vertex cap.
+
+    The path follows the input.  When ``cx`` is flag (a clique complex, as
+    from :func:`clique_complex`), each restriction G[W] is collapsed by
+    deleting dominated vertices, which keeps its homotopy type: a core of
+    one vertex contributes nothing (cones and chordal components collapse
+    to a point), an edgeless core of k vertices adds k - 1 at (|W|-1, |W|),
+    and only the remaining cores have their maximal cliques passed to the
+    homology engine.  Other complexes (ghost vertices, complex files) take
+    the facet path: restrict the facets to W, keep the maximal ones and
+    skip cones.  ``face_cap`` applies to each restriction the engine sees,
+    the collapsed one on the flag path; a restriction to at most 14
+    vertices has at most 16,383 faces, so the default cap cannot fire
+    there on either path.
+
+    With ``jobs > 1`` the subset range is split into contiguous blocks whose
+    partial tables are merged in fixed order; results are bit-identical to
+    the sequential run.
     """
     n = cx.n
     if n > vertex_cap:
         raise CapExceeded(f"Hochster brute force capped at {vertex_cap} vertices")
     facet_masks = [sum(1 << v for v in f) for f in cx.facets]
+    adj = _flag_adjacency(facet_masks, n)
     total = 1 << n
     if jobs <= 1 or total < 64:
-        entries = _hochster_scan(facet_masks, 0, total, face_cap)
+        entries = _hochster_scan(facet_masks, adj, 0, total, face_cap)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = min(jobs, 64)
         step = (total + jobs - 1) // jobs
-        blocks = [
-            (facet_masks, lo, min(lo + step, total), face_cap)
-            for lo in range(0, total, step)
-        ]
+        los = range(0, total, step)
+        his = [min(lo + step, total) for lo in los]
         entries = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_hochster_worker, blocks):
+            parts = pool.map(
+                _hochster_scan,
+                repeat(facet_masks), repeat(adj), los, his, repeat(face_cap),
+            )
+            for part in parts:
                 for key, v in part.items():
                     entries[key] = entries.get(key, 0) + v
     return BettiTable(n, entries)

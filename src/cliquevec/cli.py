@@ -238,43 +238,15 @@ def cmd_betti(args) -> int:
     out["results"] = results
 
     if args.method == "all":
-        table_totals = [
-            str(
-                sum(
-                    int(v)
-                    for (i, j, v) in (
-                        (i, j, v) for i, j, v in _iter_entries(results["hochster"])
-                    )
-                    if i == idx
-                )
-            )
-            for idx in range(n + 1)
-        ]
-        agree_hv = table_totals == results["hvector"]
-        agree_bv = (not chordal) or table_totals == results["bvector"]
-        strand_from_table = [
-            str(
-                sum(
-                    int(v)
-                    for i, j, v in _iter_entries(results["hochster"])
-                    if i == idx and j == idx + 1
-                )
-            )
-            for idx in range(1, n)
-        ]
-        agree_strand = strand_from_table == results["strand"]
+        # "all" includes the b-vector route, which has refused non-chordal input
+        totals = _vec(table.totals())
         out["agreement"] = {
-            "hvector": agree_hv,
-            "bvector": agree_bv,
-            "strand": agree_strand,
+            "hvector": totals == results["hvector"],
+            "bvector": totals == results["bvector"],
+            "strand": _vec(table.strand()) == results["strand"],
         }
     _emit(out)
     return EXIT_OK
-
-
-def _iter_entries(table_json: dict):
-    for i, j, v in table_json["entries"]:
-        yield i, j, v
 
 
 def cmd_verify(args) -> int:

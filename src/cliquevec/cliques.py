@@ -83,8 +83,9 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     return out
 
 
-def _bron_kerbosch(masks, n: int) -> list[int]:
-    """Maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
+def _bron_kerbosch(masks, cand: int) -> list[int]:
+    """Maximal cliques of the subgraph induced on the vertex mask ``cand``,
+    as bitmasks (Bron-Kerbosch with pivoting)."""
     out: list[int] = []
 
     def expand(r: int, p: int, x: int):
@@ -111,8 +112,8 @@ def _bron_kerbosch(masks, n: int) -> list[int]:
             p ^= b
             x |= b
 
-    if n:
-        expand(0, (1 << n) - 1, 0)
+    if cand:
+        expand(0, cand, 0)
     return out
 
 
@@ -151,7 +152,7 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
                 kept.append(m)
         cliques = [_mask_to_set(m) for m in kept]
     else:
-        cliques = [_mask_to_set(m) for m in _bron_kerbosch(g._masks, g.n)]
+        cliques = [_mask_to_set(m) for m in _bron_kerbosch(g._masks, (1 << g.n) - 1)]
     return sorted(cliques, key=sorted)
 
 

@@ -1,4 +1,10 @@
+import random
+import time
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquevec import (
     BettiTable,
@@ -16,11 +22,39 @@ from cliquevec import (
     reduced_homology_ranks,
     vertex_connectivity,
 )
+from cliquevec.betti import (
+    DEFAULT_FACE_CAP,
+    _boundary_rank,
+    _faces_by_dim,
+    _flag_adjacency,
+    _hochster_scan,
+    _homology_dims,
+)
 from cliquevec.complexes import CapExceeded
+
+# The 6-vertex real projective plane: H~_1 = Z/2, so every reduced homology
+# group vanishes over Q but not over GF(2).
+RP2 = SimplicialComplex(
+    6,
+    [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+     (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)],
+)
+# K_{2,2,2}: the complete graph minus a perfect matching; its clique
+# complex is the octahedral 2-sphere
+OCTAHEDRON = Graph(6, [e for e in combinations(range(6), 2) if e[0] // 2 != e[1] // 2])
 
 
 def table_of(g, **kw):
     return full_betti_hochster(clique_complex(g), **kw)
+
+
+def gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def masks_of(cx):
+    return [sum(1 << v for v in f) for f in cx.facets]
 
 
 def test_linear_strand_examples(bp12):
@@ -48,6 +82,17 @@ def test_reduced_homology_examples(bp12):
 def test_reduced_homology_cap():
     with pytest.raises(CapExceeded):
         reduced_homology_ranks(clique_complex(Graph.complete(10)), face_cap=100)
+    # two triangles on an edge have exactly 11 nonempty faces: the cap fires
+    # only past that count
+    diamond = SimplicialComplex(4, [{0, 1, 2}, {1, 2, 3}])
+    assert reduced_homology_ranks(diamond, face_cap=11) == (0, 0, 0, 0)
+    with pytest.raises(CapExceeded, match="face count exceeds cap 10"):
+        reduced_homology_ranks(diamond, face_cap=10)
+    # the cap bounds the work: 2^40 faces are never built
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        reduced_homology_ranks(clique_complex(Graph.complete(40)), face_cap=100)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_hochster_table_examples(bp12):
@@ -76,9 +121,10 @@ def test_hochster_vertex_cap():
 
 
 def test_hochster_parallel_matches_sequential(bp12):
-    seq = table_of(bp12)
-    par = table_of(bp12, jobs=2)
-    assert seq.entries == par.entries
+    for g in (bp12, Graph.cycle(7), gnp(10, 0.45, 7)):
+        seq = table_of(g)
+        par = table_of(g, jobs=2)
+        assert seq.entries == par.entries
 
 
 def test_strand_matches_full_table(corpus300):
@@ -162,3 +208,82 @@ def test_ghost_vertices_contribute_to_hochster():
     table = full_betti_hochster(cx)
     # I = (x2) is principal of degree 1: single Betti number at (1, 1)
     assert table.entries == {(0, 0): 1, (1, 1): 1}
+
+
+def test_flag_and_facet_paths_agree(corpus300):
+    graphs = [*corpus300[:60], *(Graph.cycle(k) for k in range(4, 9)), OCTAHEDRON]
+    graphs += [gnp(6 + s % 5, (0.3, 0.45, 0.6)[s % 3], s) for s in range(40)]
+    for g in graphs:
+        masks = masks_of(clique_complex(g))
+        adj = _flag_adjacency(masks, g.n)
+        assert adj == list(g._masks)
+        flag = _hochster_scan(masks, adj, 0, 1 << g.n, DEFAULT_FACE_CAP)
+        facet = _hochster_scan(masks, None, 0, 1 << g.n, DEFAULT_FACE_CAP)
+        assert flag == facet
+
+
+def test_non_flag_complexes_take_the_facet_path():
+    assert _flag_adjacency(masks_of(RP2), 6) is None
+    # ghost vertex 2
+    assert _flag_adjacency(masks_of(SimplicialComplex(3, [{0, 1}])), 3) is None
+    # hollow triangle: its 1-skeleton's clique complex is the full triangle
+    hollow = SimplicialComplex(3, [{0, 1}, {1, 2}, {0, 2}])
+    assert _flag_adjacency(masks_of(hollow), 3) is None
+
+
+def _dense_boundary(faces, rows):
+    index = {m: i for i, m in enumerate(rows)}
+    mat = [[0] * len(faces) for _ in rows]
+    for j, face in enumerate(faces):
+        verts = [v for v in range(face.bit_length()) if face >> v & 1]
+        for pos, v in enumerate(verts):
+            mat[index[face ^ (1 << v)]][j] = (-1) ** pos
+    return mat
+
+
+def test_boundary_ranks_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2012)
+    # the cone and the suspension of RP^2 reach non-unit pivots
+    cone = [f | {6} for f in RP2.facets]
+    suspension = [*cone, *(f | {7} for f in RP2.facets)]
+    complexes = [RP2, SimplicialComplex(7, cone), SimplicialComplex(8, suspension)]
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 7))]
+        complexes.append(SimplicialComplex(n, facets))
+    for cx in complexes:
+        masks = masks_of(cx)
+        by_dim = _faces_by_dim(masks, DEFAULT_FACE_CAP)
+        ranks = [1] + [
+            sympy.Matrix(_dense_boundary(by_dim[k], by_dim[k - 1])).rank()
+            for k in range(1, len(by_dim))
+        ] + [0]
+        for k in range(2, len(by_dim)):
+            assert _boundary_rank(by_dim[k], by_dim[k - 1]) == ranks[k]
+        dims = (0, *(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))))
+        assert _homology_dims(masks, DEFAULT_FACE_CAP) == dims
+
+
+def test_pinned_tables():
+    # values of the dense-elimination engine this one replaced
+    assert reduced_homology_ranks(RP2) == (0, 0, 0, 0)
+    assert full_betti_hochster(RP2).entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    assert table_of(OCTAHEDRON).entries == {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
+
+
+@st.composite
+def relabeled_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, edges), Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(relabeled_graphs())
+@settings(max_examples=60, deadline=None)
+def test_hochster_table_invariant_under_relabeling(pair):
+    g, h = pair
+    assert table_of(g).entries == table_of(h).entries
