@@ -51,13 +51,10 @@ def _faces_by_dim(facet_masks: Sequence[int], face_cap: int) -> list[list[int]]:
     """
     seen: set[int] = set()
     for fm in facet_masks:
-        # A facet adds at most 2^|F| - 1 faces: count one by one only when
-        # those could pass the cap.
-        guarded = len(seen) + (1 << fm.bit_count()) - 1 > face_cap
         sub = fm
         while sub:
             seen.add(sub)
-            if guarded and len(seen) > face_cap:
+            if len(seen) > face_cap:
                 raise CapExceeded(f"face count exceeds cap {face_cap}")
             sub = (sub - 1) & fm
     if not seen:
