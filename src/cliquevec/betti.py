@@ -21,7 +21,7 @@ from math import comb
 from typing import Sequence
 
 from .cliques import _bron_kerbosch
-from .complexes import CapExceeded, SimplicialComplex
+from .complexes import CapExceeded, SimplicialComplex, _maximal_masks
 from .graphs import Graph, cut_component_sum
 
 __all__ = [
@@ -264,9 +264,7 @@ def _hochster_scan(
     for wmask in range(lo, hi):
         j = wmask.bit_count()
         if adj is None:
-            cands = {fm & wmask for fm in facet_masks}
-            cands.discard(0)
-            sub = [c for c in cands if not any(c != o and c & ~o == 0 for o in cands)]
+            sub = _maximal_masks(fm & wmask for fm in facet_masks)
             if sub:
                 common = sub[0]
                 for c in sub[1:]:

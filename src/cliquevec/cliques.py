@@ -127,32 +127,9 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """Inclusion-maximal cliques, sorted for determinism.
-
-    Chordal graphs take the PEO route (the maximal members of
-    ``{v} | N_sigma(v)``, at most n candidates); general graphs use
-    Bron-Kerbosch with pivoting.
-    """
-    if g.n == 0:
-        return []
-    chordal, peo = is_chordal(g)
-    if chordal:
-        pos = peo.inverse
-        cand_masks = set()
-        for v in range(g.n):
-            m = 1 << v
-            for u in g.adj[v]:
-                if pos[u] > pos[v]:
-                    m |= 1 << u
-            cand_masks.add(m)
-        cands = sorted(cand_masks, key=lambda m: -m.bit_count())
-        kept: list[int] = []
-        for m in cands:
-            if not any(m & ~k == 0 for k in kept):
-                kept.append(m)
-        cliques = [_mask_to_set(m) for m in kept]
-    else:
-        cliques = [_mask_to_set(m) for m in _bron_kerbosch(g._masks, (1 << g.n) - 1)]
+    """Inclusion-maximal cliques (Bron-Kerbosch with pivoting), sorted for
+    determinism."""
+    cliques = [_mask_to_set(m) for m in _bron_kerbosch(g._masks, (1 << g.n) - 1)]
     return sorted(cliques, key=sorted)
 
 

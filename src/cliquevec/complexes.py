@@ -36,13 +36,22 @@ class CapExceeded(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal nonzero masks among ``masks``, largest first."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m and all(m & ~k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def _maximalize(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    uniq = sorted(set(sets), key=len, reverse=True)
-    kept: list[frozenset[int]] = []
-    for s in uniq:
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    kept = [s for s in kept if s]
+    # The caller's first object per set is kept, so facet iteration order
+    # (and hence repr) does not depend on how the set was rebuilt.
+    by_mask: dict[int, frozenset[int]] = {}
+    for s in sets:
+        by_mask.setdefault(sum(1 << v for v in s), s)
+    kept = [by_mask[m] for m in _maximal_masks(by_mask)]
     return tuple(sorted(kept, key=sorted))
 
 
@@ -204,13 +213,9 @@ def is_matroid(cx: SimplicialComplex, vertex_cap: int = 16) -> bool:
     facet_masks = [sum(1 << v for v in f) for f in cx.facets]
     for smask in range(1 << cx.n):
         keep = ~smask
-        cands = {fm & keep for fm in facet_masks}
-        sizes = set()
-        for c in cands:
-            if not any(c != o and c & ~o == 0 for o in cands):
-                sizes.add(c.bit_count())
-                if len(sizes) > 1:
-                    return False
+        sizes = {m.bit_count() for m in _maximal_masks(fm & keep for fm in facet_masks)}
+        if len(sizes) > 1:
+            return False
     return True
 
 

@@ -264,16 +264,25 @@ def vertex_connectivity(g: Graph) -> int:
     return n - 1
 
 
-def _cut_sum_chunk(masks: Sequence[int], n: int, k: int, firsts: Sequence[int]) -> int:
+def cut_component_sum(g: Graph, k: int) -> int:
+    """Sum over all k-subsets ``Y`` of ``max(W(G - Y) - 1, 0)``.
+
+    ``W`` is the number of connected components after deleting ``Y``; subsets
+    that do not disconnect contribute 0, as does deleting every vertex.  The
+    sum is exact (Python integers); the subsets are enumerated by their
+    smallest element.
+    """
+    n = g.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range 0..{n}")
+    masks = g._masks
     full = (1 << n) - 1
+    if k == 0:
+        c = masked_component_count(masks, full)
+        return c - 1 if c > 1 else 0
     total = 0
-    for f in firsts:
+    for f in range(n - k + 1):
         base = full ^ (1 << f)
-        if k == 1:
-            c = masked_component_count(masks, base)
-            if c > 1:
-                total += c - 1
-            continue
         for rest in combinations(range(f + 1, n), k - 1):
             avail = base
             for v in rest:
@@ -282,40 +291,6 @@ def _cut_sum_chunk(masks: Sequence[int], n: int, k: int, firsts: Sequence[int]) 
             if c > 1:
                 total += c - 1
     return total
-
-
-def _cut_sum_worker(args: tuple) -> int:
-    n, edges, k, firsts = args
-    g = Graph(n, edges)
-    return _cut_sum_chunk(g._masks, n, k, firsts)
-
-
-def cut_component_sum(g: Graph, k: int, jobs: int = 1) -> int:
-    """Sum over all k-subsets ``Y`` of ``max(W(G - Y) - 1, 0)``.
-
-    ``W`` is the number of connected components after deleting ``Y``; subsets
-    that do not disconnect contribute 0, as does deleting every vertex.  The
-    sum is exact (Python integers); with ``jobs > 1`` the enumeration is
-    partitioned by the smallest element of ``Y`` and reduced in a fixed
-    order, which is bit-identical to the sequential run.
-    """
-    n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    if k == 0:
-        c = masked_component_count(g._masks, (1 << n) - 1)
-        return c - 1 if c > 1 else 0
-    firsts = list(range(n - k + 1))
-    if jobs <= 1 or len(firsts) < 2:
-        return _cut_sum_chunk(g._masks, n, k, firsts)
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = min(jobs, len(firsts))
-    chunks = [firsts[i::jobs] for i in range(jobs)]
-    edges = g.edges()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_cut_sum_worker, [(n, edges, k, c) for c in chunks]))
-    return sum(parts)
 
 
 def _is_simplicial_masked(masks: Sequence[int], v: int, active: int) -> bool:

@@ -40,9 +40,7 @@ class ShiftResult:
     k_clique: tuple[int, ...]
 
 
-def _default_max_clique(g: Graph) -> tuple[int, ...]:
-    cliques = maximal_cliques(g)
-    d = max(len(c) for c in cliques)
+def _default_max_clique(cliques: list[frozenset[int]], d: int) -> tuple[int, ...]:
     best = min((tuple(sorted(c)) for c in cliques if len(c) == d))
     return tuple(sorted(best, reverse=True))
 
@@ -64,13 +62,14 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     if g.is_complete():
         raise ValueError("input graph is complete")
 
+    cliques = maximal_cliques(g)
+    d = max(len(c) for c in cliques)
     if k_clique is None:
-        k_order = _default_max_clique(g)
+        k_order = _default_max_clique(cliques, d)
     elif isinstance(k_clique, (set, frozenset)):
         k_order = tuple(sorted(k_clique, reverse=True))
     else:
         k_order = tuple(k_clique)
-    d = max(len(c) for c in maximal_cliques(g))
     if len(k_order) != d:
         raise ValueError(f"anchor clique has size {len(k_order)}, clique number is {d}")
 

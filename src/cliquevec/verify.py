@@ -10,7 +10,8 @@ and maximum maximal-clique intersection ktilde, the claims are:
 * ``b_eq_dom_high``  : b_i = d_i for i > ktilde
 * ``b_monotone_high``: b_i <= b_j for ktilde < j <= i
 * ``betti_eq_low`` / ``betti_lt_high``: the same bounds phrased against the
-  linear strand of the Stanley-Reisner resolution (b_i vs beta_{n-i} + 1)
+  total Betti numbers of the Stanley-Reisner ring (b_i vs beta_{n-i} + 1),
+  read off the closed h-vector formula rather than the cut sums
 * shifting claims: the shifted graph is threshold, clique-vector- and
   connectivity-preserving, dominates no worse (d_i(T) <= d_i(G), equality
   past ktilde), and the clique bijection closes
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .betti import betti_from_hvector
 from .cliques import clique_vector, dominating_number, kappa_tilde
 from .complexes import clique_complex, is_matroid, is_pure, is_shifted
 from .graphs import Graph, cut_component_sum, is_chordal, random_chordal, vertex_connectivity
@@ -37,7 +39,7 @@ from .threshold import (
     threshold_labeling,
     threshold_profile,
 )
-from .vectors import b_from_c
+from .vectors import b_from_c, h_from_f
 
 __all__ = ["ClaimResult", "evaluate_graph", "random_instance", "build_random_corpus"]
 
@@ -121,29 +123,31 @@ def _bounds_claims(b, cuts, d_values, kappa, ktilde, d) -> list[ClaimResult]:
     return claims
 
 
-def _betti_claims(b, cuts, kappa, d, n) -> list[ClaimResult]:
-    # On the linear strand beta_{n-i}(R/I) equals the cut sum at i-1
-    # (2-linearity makes the strand the whole story for chordal inputs).
+def _betti_claims(b, c, kappa, d, n) -> list[ClaimResult]:
+    # beta_{n-i}(R/I) comes from the closed h-vector formula (the clique
+    # ideal of a chordal graph has a 2-linear resolution), not from the cut
+    # sums, so these claims are independent of b_eq_cut_low / b_lt_cut_high.
+    beta = betti_from_hvector(h_from_f((1, *c), d), n, d)
     claims = []
     bad = next(
-        (i for i in range(1, min(kappa + 1, d) + 1) if b[i - 1] != cuts[i - 1] + 1),
+        (i for i in range(1, min(kappa + 1, d) + 1) if b[i - 1] != beta[n - i] + 1),
         None,
     )
     claims.append(
         ClaimResult(
             "betti_eq_low",
             "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "beta_n_minus_i": str(cuts[bad - 1])},
+            None if bad is None else {"i": bad, "beta_n_minus_i": str(beta[n - bad])},
         )
     )
     bad = next(
-        (i for i in range(kappa + 2, d + 1) if not b[i - 1] < cuts[i - 1] + 1), None
+        (i for i in range(kappa + 2, d + 1) if not b[i - 1] < beta[n - i] + 1), None
     )
     claims.append(
         ClaimResult(
             "betti_lt_high",
             "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "beta_n_minus_i": str(cuts[bad - 1])},
+            None if bad is None else {"i": bad, "beta_n_minus_i": str(beta[n - bad])},
         )
     )
     return claims
@@ -314,7 +318,7 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
 
     claims = []
     claims += _bounds_claims(b, cuts, d_values, kappa, ktilde, d)
-    claims += _betti_claims(b, cuts, kappa, d, g.n)
+    claims += _betti_claims(b, c, kappa, d, g.n)
     if g.n >= 2:
         claims += _shift_claims(g, b, d_values, kappa, ktilde, d)
     if word is not None:

@@ -73,6 +73,49 @@ def test_maximal_cliques_match_oracle(corpus_small):
         assert set(maximal_cliques(g)) == brute_maximal_cliques(g)
 
 
+def _random_k_tree(n: int, k: int, seed: int) -> Graph:
+    """Seeded k-tree: K_{k+1}, then each new vertex joins a random k-clique."""
+    import random
+
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    cliques = [tuple(range(k + 1))]  # the (k+1)-cliques so far
+    for v in range(k + 1, n):
+        base = list(cliques[rng.randrange(len(cliques))])
+        base.pop(rng.randrange(k + 1))
+        edges += [(u, v) for u in base]
+        cliques.append((*base, v))
+    return Graph(n, edges)
+
+
+def test_maximal_cliques_match_networkx(corpus300):
+    import random
+
+    nx = pytest.importorskip("networkx")
+
+    def check(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert set(maximal_cliques(g)) == {frozenset(c) for c in nx.find_cliques(h)}
+
+    for g in corpus300:
+        check(g)
+    for n, k, seed in ((200, 20, 1), (300, 5, 2)):
+        g = _random_k_tree(n, k, seed)
+        assert len(maximal_cliques(g)) == n - k
+        check(g)
+    rng = random.Random(45)
+    for _ in range(30):  # G(n, 0.45), mostly non-chordal
+        n = rng.randint(1, 14)
+        check(
+            Graph(
+                n,
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45],
+            )
+        )
+
+
 def test_peo_route_covers_maximal_cliques(corpus_small):
     from cliquevec import is_chordal
     from cliquevec.peo import monotone_neighbors

@@ -1,4 +1,5 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -33,6 +34,24 @@ def test_complex_construction_maximalizes():
     assert cx.dim == 2
     with pytest.raises(ValueError):
         SimplicialComplex(2, [{0, 5}])
+
+    rng = random.Random(30)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        family = [
+            frozenset(rng.sample(range(n), rng.randint(0, n)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        # duplicates and nested copies of earlier members
+        family += [f for f in family if rng.random() < 0.3]
+        family += [
+            frozenset(rng.sample(sorted(f), rng.randint(0, len(f))))
+            for f in family
+            if rng.random() < 0.5
+        ]
+        rng.shuffle(family)
+        brute = {s for s in family if s and not any(s < t for t in family)}
+        assert list(SimplicialComplex(n, family).facets) == sorted(brute, key=sorted)
 
 
 def test_clique_complex_examples(bp12):
@@ -129,6 +148,46 @@ def test_sds_family_words_are_matroids():
         for b in range(0, 4):
             w = "S" + "D" * a + "S" * b
             assert is_matroid(clique_complex(graph_from_word(w))), w
+
+
+def test_is_matroid_matches_augmentation_axiom():
+    # Independence-complex axiom: for faces A, B with |A| < |B| some
+    # x in B - A has A + x a face.
+    def augmentation_holds(cx):
+        faces = cx.faces(include_empty=True)
+        return all(
+            any(cx.is_face(a | {x}) for x in b - a)
+            for a in faces
+            for b in faces
+            if len(a) < len(b)
+        )
+
+    rng = random.Random(60)
+    seen = set()
+    for trial in range(60):
+        n = rng.randint(3, 7)
+        kind = trial % 3
+        if kind == 0:  # arbitrary small facets
+            family = [
+                rng.sample(range(n), rng.randint(1, 3))
+                for _ in range(rng.randint(2, 5))
+            ]
+        elif kind == 1:  # uniform matroid U(k, m), possibly with ghosts
+            ground = rng.sample(range(n), rng.randint(1, n))
+            family = list(combinations(ground, rng.randint(1, len(ground))))
+        else:  # transversals of disjoint blocks (a partition matroid),
+            # sometimes with one extra facet that may break the axiom
+            verts = rng.sample(range(n), rng.randint(1, n))
+            cuts = sorted(rng.sample(range(1, len(verts)), rng.randint(0, len(verts) - 1)))
+            blocks = [verts[i:j] for i, j in zip([0, *cuts], [*cuts, len(verts)])]
+            family = list(product(*blocks))
+            if rng.random() < 0.5:
+                family.append(rng.sample(range(n), rng.randint(1, 3)))
+        cx = SimplicialComplex(n, family)
+        expected = augmentation_holds(cx)
+        assert is_matroid(cx) == expected, cx
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_matroid_chordal_instances_are_threshold(corpus_small):

@@ -144,11 +144,6 @@ def test_cut_component_sum_vanishes_below_connectivity(corpus_small):
         assert cut_component_sum(g, kappa) > 0
 
 
-def test_cut_component_sum_parallel_matches_sequential(bp12):
-    for k in range(4):
-        assert cut_component_sum(bp12, k, jobs=2) == cut_component_sum(bp12, k)
-
-
 def test_simplicial_vertices_examples(bp12):
     assert simplicial_vertices(Graph.path(3)) == frozenset({0, 2})
     assert simplicial_vertices(Graph.complete(4)) == frozenset(range(4))
