@@ -83,37 +83,51 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     return out
 
 
+def _branches(masks, p: int, x: int) -> int:
+    """The vertices of ``p`` outside the neighborhood of the pivot: the
+    vertex of ``p | x`` with the most neighbors in ``p`` (lowest on ties)."""
+    pivot = -1
+    best = -1
+    t = p | x
+    while t:
+        b = t & -t
+        t ^= b
+        v = b.bit_length() - 1
+        score = (p & masks[v]).bit_count()
+        if score > best:
+            best, pivot = score, v
+    return p & ~masks[pivot]
+
+
 def _bron_kerbosch(masks, cand: int) -> list[int]:
     """Maximal cliques of the subgraph induced on the vertex mask ``cand``,
-    as bitmasks (Bron-Kerbosch with pivoting)."""
+    as bitmasks (Bron-Kerbosch with pivoting).
+
+    The search runs on an explicit stack of ``(r, p, x, branches)`` frames,
+    so its depth is not bounded by the recursion limit.  A frame is popped,
+    its lowest branch vertex taken, the rest pushed back and the child
+    pushed above it; cliques come out in depth-first order, lowest branch
+    vertex first.
+    """
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        px = p | x
-        pivot = -1
-        best = -1
-        t = px
-        while t:
-            b = t & -t
-            t ^= b
-            v = b.bit_length() - 1
-            score = (p & masks[v]).bit_count()
-            if score > best:
-                best, pivot = score, v
-        cand = p & ~masks[pivot]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            expand(r | b, p & masks[v], x & masks[v])
-            p ^= b
-            x |= b
-
-    if cand:
-        expand(0, cand, 0)
+    if not cand:
+        return out
+    stack = [(0, cand, 0, _branches(masks, cand, 0))]
+    while stack:
+        r, p, x, rest = stack.pop()
+        b = rest & -rest
+        rest ^= b
+        if rest:
+            stack.append((r, p ^ b, x | b, rest))
+        m = masks[b.bit_length() - 1]
+        p &= m
+        x &= m
+        if p:
+            rest = _branches(masks, p, x)
+            if rest:
+                stack.append((r | b, p, x, rest))
+        elif not x:
+            out.append(r | b)
     return out
 
 

@@ -269,27 +269,18 @@ def cut_component_sum(g: Graph, k: int) -> int:
 
     ``W`` is the number of connected components after deleting ``Y``; subsets
     that do not disconnect contribute 0, as does deleting every vertex.  The
-    sum is exact (Python integers); the subsets are enumerated by their
-    smallest element.
+    sum is exact (Python integers).
     """
     n = g.n
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
     masks = g._masks
     full = (1 << n) - 1
-    if k == 0:
-        c = masked_component_count(masks, full)
-        return c - 1 if c > 1 else 0
     total = 0
-    for f in range(n - k + 1):
-        base = full ^ (1 << f)
-        for rest in combinations(range(f + 1, n), k - 1):
-            avail = base
-            for v in rest:
-                avail ^= 1 << v
-            c = masked_component_count(masks, avail)
-            if c > 1:
-                total += c - 1
+    for cut in combinations([1 << v for v in range(n)], k):
+        c = masked_component_count(masks, full - sum(cut))
+        if c > 1:
+            total += c - 1
     return total
 
 

@@ -126,6 +126,29 @@ def test_betti_cap_exit(tmp_path, capsys):
     assert main(["betti", str(big), "--method", "hochster", "--cap", "12"]) == 0
 
 
+def test_betti_cap_exit_on_a_clique_deeper_than_recursion_limit(tmp_path, capsys):
+    # The clique complex is built before the vertex cap is checked, so its
+    # maximal-clique search must not recurse once per clique vertex.  The
+    # limit is lowered to just above the current depth instead of feeding a
+    # K_1200 through the default limit, whose clique vector alone takes ~30 s.
+    import sys
+
+    from cliquevec import Graph
+
+    big = tmp_path / "k300.graph"
+    big.write_text(format_graph(Graph.complete(300)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        assert main(["betti", str(big)]) == 4
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "capped" in capsys.readouterr().err
+
+
 def test_betti_complex_input(tmp_path, capsys):
     cx = tmp_path / "hollow.cx"
     cx.write_text("3\n0 1\n1 2\n0 2\n")

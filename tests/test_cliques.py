@@ -116,6 +116,15 @@ def test_maximal_cliques_match_networkx(corpus300):
         )
 
 
+def test_maximal_cliques_deeper_than_recursion_limit():
+    import sys
+
+    n = sys.getrecursionlimit() + 500
+    g = Graph.complete(n)
+    assert maximal_cliques(g) == [frozenset(range(n))]
+    assert kappa_tilde(g) == 0
+
+
 def test_peo_route_covers_maximal_cliques(corpus_small):
     from cliquevec import is_chordal
     from cliquevec.peo import monotone_neighbors
