@@ -216,36 +216,39 @@ def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
     return adj
 
 
-def _strong_core(adj: Sequence[int], w: int) -> tuple[int, bool]:
-    """Delete dominated vertices of G[w] until none is left.
+def _flag_dims(adj: Sequence[int], w: int, table: list, face_cap: int) -> tuple[int, ...]:
+    """Reduced homology dims of the clique complex of G[w].
 
     v is dominated by a neighbor u when N[v] is inside N[u] within w.
-    Deleting v is a strong collapse of the clique complex, so the returned
-    core has the homotopy type of G[w]'s clique complex.  Also returns
-    whether the core has an edge.
+    Deleting v is a strong collapse, which keeps the homotopy type, so
+    G[w] has the dims of G[w - v], read from ``table`` (indexed by vertex
+    mask); a missing entry is worked out and stored, at most n levels deep.
+    Only a core, with no dominated vertex, is worked out from scratch.
     """
-    changed = True
-    while changed:
-        changed = has_edge = False
-        t = w
-        while t:
-            b = t & -t
-            t ^= b
-            nv = adj[b.bit_length() - 1] & w
-            if not nv:
-                continue
-            has_edge = True
-            closed = nv | b
-            s = nv
-            while s:
-                c = s & -s
-                s ^= c
-                # N[v] lies in N[u] when u is the only member outside N(u)
-                if closed & ~adj[c.bit_length() - 1] == c:
-                    w ^= b
-                    changed = True
-                    break
-    return w, has_edge
+    has_edge = False
+    t = w
+    while t:
+        b = t & -t
+        t ^= b
+        nv = adj[b.bit_length() - 1] & w
+        if not nv:
+            continue
+        has_edge = True
+        closed = nv | b
+        s = nv
+        while s:
+            c = s & -s
+            s ^= c
+            # N[v] lies in N[u] when u is the only member outside N(u)
+            if closed & ~adj[c.bit_length() - 1] == c:
+                dims = table[w ^ b]
+                if dims is None:
+                    dims = table[w ^ b] = _flag_dims(adj, w ^ b, table, face_cap)
+                return dims
+    if has_edge:
+        return _homology_dims(_bron_kerbosch(adj, w), face_cap)
+    k = w.bit_count()  # k isolated points: only H~_0, of rank k - 1
+    return (0, k - 1) if k else (1,)  # W empty: only H~_-1
 
 
 def _hochster_scan(
@@ -257,13 +260,20 @@ def _hochster_scan(
 ) -> dict:
     """Hochster contributions of the vertex subsets with masks in [lo, hi).
 
-    With ``adj`` (flag input) each restriction is first collapsed to its
-    strong core; without it the facets are restricted and re-maximalized.
+    With ``adj`` (flag input) the dims of each restriction come from
+    :func:`_flag_dims` over a table of ``hi`` list slots, one per mask
+    (about 8 MB at n = 20), so each W costs one domination search and each
+    core mask's homology is computed once per scan.  Masks below ``lo`` are
+    filled on demand.  Without ``adj`` the facets are restricted and
+    re-maximalized.
     """
     entries: dict = {}
+    table: list = [None] * hi if adj is not None else []
     for wmask in range(lo, hi):
         j = wmask.bit_count()
-        if adj is None:
+        if adj is not None:
+            dims = table[wmask] = _flag_dims(adj, wmask, table, face_cap)
+        else:
             sub = _maximal_masks(fm & wmask for fm in facet_masks)
             if sub:
                 common = sub[0]
@@ -274,25 +284,17 @@ def _hochster_scan(
                 dims = _homology_dims(sub, face_cap)
             else:
                 dims = (1,)  # restriction is the empty complex
-        else:
-            core, has_edge = _strong_core(adj, wmask)
-            if has_edge:
-                dims = _homology_dims(_bron_kerbosch(adj, core), face_cap)
-            elif core & (core - 1):
-                # k >= 2 isolated points: only H~_0, of rank k - 1
-                key = (j - 1, j)
-                entries[key] = entries.get(key, 0) + core.bit_count() - 1
-                continue
-            elif core:
-                continue  # one point: contractible
-            else:
-                dims = (1,)  # W is empty
         for kk, h in enumerate(dims):
             if h:
                 k = kk - 1
                 key = (j - k - 1, j)
                 entries[key] = entries.get(key, 0) + h
     return entries
+
+
+def _check_vertex_cap(n: int, vertex_cap: int) -> None:
+    if n > vertex_cap:
+        raise CapExceeded(f"Hochster brute force capped at {vertex_cap} vertices")
 
 
 def full_betti_hochster(
@@ -310,25 +312,27 @@ def full_betti_hochster(
     Q.  Cost is exponential in n, hence the vertex cap.
 
     The path follows the input.  When ``cx`` is flag (a clique complex, as
-    from :func:`clique_complex`), each restriction G[W] is collapsed by
-    deleting dominated vertices, which keeps its homotopy type: a core of
-    one vertex contributes nothing (cones and chordal components collapse
-    to a point), an edgeless core of k vertices adds k - 1 at (|W|-1, |W|),
-    and only the remaining cores have their maximal cliques passed to the
-    homology engine.  Other complexes (ghost vertices, complex files) take
-    the facet path: restrict the facets to W, keep the maximal ones and
-    skip cones.  ``face_cap`` applies to each restriction the engine sees,
-    the collapsed one on the flag path; a restriction to at most 14
-    vertices has at most 16,383 faces, so the default cap cannot fire
-    there on either path.
+    from :func:`clique_complex`), one scan fills a table of reduced homology
+    indexed by vertex mask, 2^n list slots (about 8 MB at n = 20).  A W
+    whose G[W] has a dominated vertex v takes the entry of W - v, since
+    deleting v keeps the homotopy type; so cones and connected chordal
+    restrictions end at a single point and contribute nothing.  Only a core, with no
+    dominated vertex, is worked out: an edgeless core of k vertices adds
+    k - 1 at (|W|-1, |W|), and any other core has its maximal cliques
+    passed to the homology engine, once per scan.  Other complexes (ghost
+    vertices, complex files) take the facet path: restrict the facets to W,
+    keep the maximal ones and skip cones.  ``face_cap`` applies to each
+    restriction the engine sees, the core on the flag path; a restriction
+    to at most 14 vertices has at most 16,383 faces, so the default cap
+    cannot fire there on either path.
 
     With ``jobs > 1`` the subset range is split into contiguous blocks whose
-    partial tables are merged in fixed order; results are bit-identical to
-    the sequential run.
+    partial tables are merged in fixed order; each block keeps its own
+    homology table and fills the entries below its range on demand, and
+    results are bit-identical to the sequential run.
     """
     n = cx.n
-    if n > vertex_cap:
-        raise CapExceeded(f"Hochster brute force capped at {vertex_cap} vertices")
+    _check_vertex_cap(n, vertex_cap)
     facet_masks = [sum(1 << v for v in f) for f in cx.facets]
     adj = _flag_adjacency(facet_masks, n)
     total = 1 << n

@@ -16,6 +16,7 @@ import random
 import sys
 
 from .betti import (
+    _check_vertex_cap,
     betti_from_bvector,
     betti_from_hvector,
     full_betti_hochster,
@@ -210,17 +211,19 @@ def cmd_betti(args) -> int:
         return EXIT_OK
 
     g = _read_graph(args.path)
+    methods = (
+        ["hochster", "hvector", "bvector", "strand"]
+        if args.method == "all"
+        else [args.method]
+    )
+    if "hochster" in methods:
+        _check_vertex_cap(g.n, args.cap)  # before the clique vector is counted
     chordal, _ = is_chordal(g)
     c = clique_vector(g)
     d = len(c)
     n = g.n
     out = {"schema": SCHEMA, "method": args.method, "n": n, "chordal": chordal}
 
-    methods = (
-        ["hochster", "hvector", "bvector", "strand"]
-        if args.method == "all"
-        else [args.method]
-    )
     results: dict = {}
     if "hochster" in methods:
         table = full_betti_hochster(clique_complex(g), vertex_cap=args.cap, jobs=args.jobs)

@@ -22,6 +22,7 @@ from cliquevec import (
     reduced_homology_ranks,
     vertex_connectivity,
 )
+import cliquevec.betti as betti
 from cliquevec.betti import (
     DEFAULT_FACE_CAP,
     _boundary_rank,
@@ -125,6 +126,51 @@ def test_hochster_parallel_matches_sequential(bp12):
         seq = table_of(g)
         par = table_of(g, jobs=2)
         assert seq.entries == par.entries
+
+
+def cycle_with_leaves(k, ends):
+    """C_k plus one pendant leaf on each cycle vertex in ``ends``."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(v, k + t) for t, v in enumerate(ends)]
+    return Graph(k + len(ends), edges)
+
+
+def test_hochster_scan_split_into_blocks_matches_one_block():
+    # A block [lo, hi) looks up masks below lo that it has not scanned
+    graphs = [gnp(n, 0.45, 50 + n) for n in (9, 10, 11)]
+    graphs.append(cycle_with_leaves(7, range(7)))
+    for g in graphs:
+        masks = masks_of(clique_complex(g))
+        adj = _flag_adjacency(masks, g.n)
+        total = 1 << g.n
+        whole = _hochster_scan(masks, adj, 0, total, DEFAULT_FACE_CAP)
+        splits = ((total // 7, total // 2 + 3), (5, total - 9), (total // 3 - 1, total // 3 + 1))
+        for a, b in splits:
+            merged: dict = {}
+            for lo, hi in ((0, a), (a, b), (b, total)):
+                for key, v in _hochster_scan(masks, adj, lo, hi, DEFAULT_FACE_CAP).items():
+                    merged[key] = merged.get(key, 0) + v
+            assert merged == whole, (g.n, a, b)
+
+
+def test_hochster_computes_each_core_once(monkeypatch):
+    # Every restriction of C5 with leaves on 0..3 collapses to a point, a
+    # set of points or the 5-cycle itself; only the 5-cycle is a core with
+    # an edge, so the homology engine runs once.
+    calls = []
+
+    def counting(facet_masks, face_cap):
+        calls.append(facet_masks)
+        return _homology_dims(facet_masks, face_cap)
+
+    monkeypatch.setattr(betti, "_homology_dims", counting)
+    table = table_of(cycle_with_leaves(5, range(4)))
+    assert len(calls) == 1
+    assert table.entries == {
+        (0, 0): 1, (1, 2): 27, (2, 3): 105, (3, 4): 189, (3, 5): 1,
+        (4, 5): 190, (4, 6): 4, (5, 6): 109, (5, 7): 6, (6, 7): 33,
+        (6, 8): 4, (7, 8): 4, (7, 9): 1,
+    }
 
 
 def test_strand_matches_full_table(corpus300):

@@ -127,10 +127,9 @@ def test_betti_cap_exit(tmp_path, capsys):
 
 
 def test_betti_cap_exit_on_a_clique_deeper_than_recursion_limit(tmp_path, capsys):
-    # The clique complex is built before the vertex cap is checked, so its
-    # maximal-clique search must not recurse once per clique vertex.  The
-    # limit is lowered to just above the current depth instead of feeding a
-    # K_1200 through the default limit, whose clique vector alone takes ~30 s.
+    # Nothing on the way to the vertex cap may recurse once per clique
+    # vertex.  The limit is lowered to just above the current depth instead
+    # of feeding a K_1200 through the default limit.
     import sys
 
     from cliquevec import Graph
@@ -147,6 +146,23 @@ def test_betti_cap_exit_on_a_clique_deeper_than_recursion_limit(tmp_path, capsys
     finally:
         sys.setrecursionlimit(limit)
     assert "capped" in capsys.readouterr().err
+
+
+def test_betti_cap_checked_before_clique_work(tmp_path, capsys, monkeypatch):
+    import cliquevec.cli as cli
+    from cliquevec import Graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the vertex cap check")
+
+    for name in ("is_chordal", "clique_vector", "clique_complex"):
+        monkeypatch.setattr(cli, name, refuse)
+    big = tmp_path / "k60.graph"
+    big.write_text(format_graph(Graph.complete(60)))
+    assert main(["betti", str(big), "--method", "all", "--cap", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Hochster brute force capped at 10 vertices\n"
 
 
 def test_betti_complex_input(tmp_path, capsys):

@@ -89,7 +89,7 @@ def test_defining_identity(c):
 def test_defining_identity_symbolic_spot_check():
     import random
 
-    import sympy
+    sympy = pytest.importorskip("sympy")
 
     x = sympy.Symbol("x")
     rng = random.Random(11)
