@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cliques import _bron_kerbosch
 from .complexes import CapExceeded, SimplicialComplex, _maximal_masks
-from .graphs import Graph, cut_component_sum
+from .graphs import Graph, clique_walk, cut_component_sum, masked_component_count
 
 __all__ = [
     "BettiTable",
@@ -43,28 +43,34 @@ def _comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
 
-def _faces_by_dim(facet_masks: Sequence[int], face_cap: int) -> list[list[int]]:
-    """All nonempty faces as bitmasks, grouped by dimension, sorted.
-
-    Raises :class:`CapExceeded` as soon as more than ``face_cap`` distinct
-    faces have been generated, so the work done is bounded by the cap.
-    """
+def _facet_faces(facet_masks: Sequence[int]) -> Iterator[int]:
+    """Each nonempty face of the complex with these facets, once: the
+    subsets of every facet, less those an earlier facet gave."""
     seen: set[int] = set()
     for fm in facet_masks:
         sub = fm
         while sub:
-            seen.add(sub)
-            if len(seen) > face_cap:
-                raise CapExceeded(f"face count exceeds cap {face_cap}")
+            if sub not in seen:
+                seen.add(sub)
+                yield sub
             sub = (sub - 1) & fm
-    if not seen:
-        return []
-    top = max(fm.bit_count() for fm in facet_masks)
-    by_dim: list[list[int]] = [[] for _ in range(top)]
-    for m in seen:
-        by_dim[m.bit_count() - 1].append(m)
-    for bucket in by_dim:
-        bucket.sort()
+
+
+def _faces_by_dim(faces: Iterable[int], face_cap: int) -> list[list[int]]:
+    """The distinct nonempty faces ``faces`` (bitmasks) grouped by
+    dimension, each group in the order drawn.
+
+    Raises :class:`CapExceeded` as soon as more than ``face_cap`` faces
+    have been drawn from ``faces``, so the work done is bounded by the cap.
+    """
+    by_dim: list[list[int]] = []
+    for count, m in enumerate(faces, 1):
+        if count > face_cap:
+            raise CapExceeded(f"face count exceeds cap {face_cap}")
+        k = m.bit_count()
+        while len(by_dim) < k:
+            by_dim.append([])
+        by_dim[k - 1].append(m)
     return by_dim
 
 
@@ -85,7 +91,7 @@ def _component_count(facet_masks: Sequence[int]) -> int:
 
 def _boundary_rank(faces: Sequence[int], rows: Sequence[int]) -> int:
     """Rank over Q of the boundary map from ``faces`` (all k-faces) to
-    ``rows`` (all (k-1)-faces, sorted).
+    ``rows`` (all (k-1)-faces).
 
     Exact sparse column reduction over the integers: each column is reduced
     against the earlier columns by its lowest row.  A unit pivot eliminates
@@ -123,24 +129,24 @@ def _boundary_rank(faces: Sequence[int], rows: Sequence[int]) -> int:
     return len(pivots)
 
 
-def _homology_dims(facet_masks: Sequence[int], face_cap: int) -> tuple[int, ...]:
-    """Reduced homology dimensions over a characteristic-zero field.
+def _homology_dims(by_dim: Sequence[Sequence[int]], components: int) -> tuple[int, ...]:
+    """Reduced homology dimensions over a characteristic-zero field of the
+    complex with the faces ``by_dim`` (from :func:`_faces_by_dim`) and
+    ``components`` connected components.
 
     Returns ``dims`` with ``dims[k + 1] = dim H~_k`` for k = -1 .. dim.
     Uses the reduced chain complex (the empty face included).  Rank of the
     vertex-to-empty-face map is 1, rank of the edge boundary is #vertices
     minus #components, and the higher boundary ranks come from
     :func:`_boundary_rank`: exact over Q, with no modular arithmetic, so
-    torsion (as in RP^2) never shows up as homology.  Raises
-    :class:`CapExceeded` once the face count passes ``face_cap``.
+    torsion (as in RP^2) never shows up as homology.
     """
-    by_dim = _faces_by_dim(facet_masks, face_cap)
     if not by_dim:
         return (1,)  # empty complex: only H~_-1 survives
     top = len(by_dim)
     ranks = [0] * (top + 1)  # ranks[k] = rank of boundary C_k -> C_(k-1)
     ranks[0] = 1  # every vertex maps to the empty face
-    ranks[1] = len(by_dim[0]) - _component_count(facet_masks)
+    ranks[1] = len(by_dim[0]) - components
     for k in range(2, top):
         ranks[k] = _boundary_rank(by_dim[k], by_dim[k - 1])
     dims = [0] * (top + 1)
@@ -159,7 +165,8 @@ def reduced_homology_ranks(
     :class:`CapExceeded` when the total face count exceeds ``face_cap``.
     """
     facet_masks = [sum(1 << v for v in f) for f in cx.facets]
-    return _homology_dims(facet_masks, face_cap)
+    by_dim = _faces_by_dim(_facet_faces(facet_masks), face_cap)
+    return _homology_dims(by_dim, _component_count(facet_masks))
 
 
 @dataclass(frozen=True)
@@ -223,7 +230,10 @@ def _flag_dims(adj: Sequence[int], w: int, table: list, face_cap: int) -> tuple[
     Deleting v is a strong collapse, which keeps the homotopy type, so
     G[w] has the dims of G[w - v], read from ``table`` (indexed by vertex
     mask); a missing entry is worked out and stored, at most n levels deep.
-    Only a core, with no dominated vertex, is worked out from scratch.
+    Only a core, with no dominated vertex, is worked out from scratch: its
+    faces are the cliques of G[w], listed once each by :func:`clique_walk`,
+    and the rank of its edge boundary comes from the component count of
+    G[w].
     """
     has_edge = False
     t = w
@@ -246,7 +256,8 @@ def _flag_dims(adj: Sequence[int], w: int, table: list, face_cap: int) -> tuple[
                     dims = table[w ^ b] = _flag_dims(adj, w ^ b, table, face_cap)
                 return dims
     if has_edge:
-        return _homology_dims(_bron_kerbosch(adj, w), face_cap)
+        by_dim = _faces_by_dim(clique_walk(adj, w, w.bit_count()), face_cap)
+        return _homology_dims(by_dim, masked_component_count(adj, w))
     k = w.bit_count()  # k isolated points: only H~_0, of rank k - 1
     return (0, k - 1) if k else (1,)  # W empty: only H~_-1
 
@@ -263,9 +274,10 @@ def _hochster_scan(
     With ``adj`` (flag input) the dims of each restriction come from
     :func:`_flag_dims` over a table of ``hi`` list slots, one per mask
     (about 8 MB at n = 20), so each W costs one domination search and each
-    core mask's homology is computed once per scan.  Masks below ``lo`` are
-    filled on demand.  Without ``adj`` the facets are restricted and
-    re-maximalized.
+    core mask's homology is computed once per scan, from its cliques.
+    Masks below ``lo`` are filled on demand.  Without ``adj`` the facets
+    are restricted and re-maximalized, and the faces of a restriction are
+    the subsets of its facets.
     """
     entries: dict = {}
     table: list = [None] * hi if adj is not None else []
@@ -281,7 +293,8 @@ def _hochster_scan(
                     common &= c
                 if common:
                     continue  # cone, hence contractible: no contribution
-                dims = _homology_dims(sub, face_cap)
+                by_dim = _faces_by_dim(_facet_faces(sub), face_cap)
+                dims = _homology_dims(by_dim, _component_count(sub))
             else:
                 dims = (1,)  # restriction is the empty complex
         for kk, h in enumerate(dims):
@@ -316,12 +329,13 @@ def full_betti_hochster(
     indexed by vertex mask, 2^n list slots (about 8 MB at n = 20).  A W
     whose G[W] has a dominated vertex v takes the entry of W - v, since
     deleting v keeps the homotopy type; so cones and connected chordal
-    restrictions end at a single point and contribute nothing.  Only a core, with no
-    dominated vertex, is worked out: an edgeless core of k vertices adds
-    k - 1 at (|W|-1, |W|), and any other core has its maximal cliques
-    passed to the homology engine, once per scan.  Other complexes (ghost
-    vertices, complex files) take the facet path: restrict the facets to W,
-    keep the maximal ones and skip cones.  ``face_cap`` applies to each
+    restrictions end at a single point and contribute nothing.  Only a
+    core, with no dominated vertex, is worked out: an edgeless core of k
+    vertices adds k - 1 at (|W|-1, |W|), and any other core has its
+    cliques, each listed once, passed to the homology engine, once per
+    scan.  Other complexes (ghost vertices, complex files) take the facet
+    path: restrict the facets to W, keep the maximal ones, skip cones and
+    take the faces as subsets of the facets.  ``face_cap`` applies to each
     restriction the engine sees, the core on the flag path; a restriction
     to at most 14 vertices has at most 16,383 faces, so the default cap
     cannot fire there on either path.

@@ -217,9 +217,11 @@ def cmd_betti(args) -> int:
         else [args.method]
     )
     if "hochster" in methods:
-        _check_vertex_cap(g.n, args.cap)  # before the clique vector is counted
+        _check_vertex_cap(g.n, args.cap)  # before any other work
     chordal, _ = is_chordal(g)
-    c = clique_vector(g)
+    if "bvector" in methods and not chordal:
+        raise CliError(EXIT_PRECONDITION, "b-vector route requires a chordal graph")
+    c = clique_vector(g) if {"hvector", "bvector"} & set(methods) else ()
     d = len(c)
     n = g.n
     out = {"schema": SCHEMA, "method": args.method, "n": n, "chordal": chordal}
@@ -233,8 +235,6 @@ def cmd_betti(args) -> int:
         h = h_from_f((1, *c), d)
         results["hvector"] = _vec(betti_from_hvector(h, n, d))
     if "bvector" in methods:
-        if not chordal:
-            raise CliError(EXIT_PRECONDITION, "b-vector route requires a chordal graph")
         results["bvector"] = _vec(betti_from_bvector(b_from_c(c), n, d))
     if "strand" in methods:
         results["strand"] = _vec(linear_strand_hochster(g))

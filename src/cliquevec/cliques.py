@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, is_chordal
+from .graphs import Graph, clique_walk, is_chordal
 
 __all__ = [
     "clique_vector",
@@ -26,18 +26,9 @@ def _monotone_degrees(g: Graph, order) -> list[int]:
 
 def _count_cliques_general(g: Graph) -> list[int]:
     """Clique counts by size via ordered extension (works for any graph)."""
-    masks = g._masks
     counts = [0] * (g.n + 1)
-
-    def walk(size: int, cand: int):
-        t = cand
-        while t:
-            b = t & -t
-            t ^= b
-            counts[size + 1] += 1
-            walk(size + 1, t & masks[b.bit_length() - 1])
-
-    walk(0, (1 << g.n) - 1)
+    for clique in clique_walk(g._masks, (1 << g.n) - 1, g.n):
+        counts[clique.bit_count()] += 1
     return counts
 
 
@@ -66,21 +57,11 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     """All cliques with exactly ``size`` vertices, in lexicographic order."""
     if size < 1:
         raise ValueError("size must be positive")
-    masks = g._masks
-    out: list[frozenset[int]] = []
-
-    def walk(base: tuple[int, ...], cand: int):
-        if len(base) == size:
-            out.append(frozenset(base))
-            return
-        t = cand
-        while t:
-            b = t & -t
-            t ^= b
-            walk(base + (b.bit_length() - 1,), t & masks[b.bit_length() - 1])
-
-    walk((), (1 << g.n) - 1)
-    return out
+    return [
+        _mask_to_set(clique)
+        for clique in clique_walk(g._masks, (1 << g.n) - 1, size)
+        if clique.bit_count() == size
+    ]
 
 
 def _branches(masks, p: int, x: int) -> int:

@@ -140,6 +140,35 @@ def masked_component_count(masks: Sequence[int], avail: int) -> int:
     return count
 
 
+def clique_walk(masks: Sequence[int], cand: int, cap: int) -> Iterator[int]:
+    """Each nonempty clique inside the vertex mask ``cand`` with at most
+    ``cap`` vertices, exactly once, as a bitmask.
+
+    Ordered extension: a clique grows only by candidates above its last
+    vertex that are adjacent to all of it.  The order is depth-first
+    preorder, lowest vertex first, so the cliques of each size come out in
+    lexicographic order.  The walk runs on an explicit stack of
+    ``(clique, candidates, size)`` frames, so its depth is not bounded by
+    the recursion limit.
+    """
+    if not cand or cap < 1:
+        return
+    stack = [(0, cand, 0)]
+    while stack:
+        base, t, size = stack.pop()
+        b = t & -t
+        t ^= b
+        if t:
+            stack.append((base, t, size))
+        clique = base | b
+        yield clique
+        size += 1
+        if size < cap:
+            t &= masks[b.bit_length() - 1]
+            if t:
+                stack.append((clique, t, size))
+
+
 def components(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Connected components of ``g``.
 
@@ -303,27 +332,6 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     )
 
 
-def _cliques_up_to(masks: list[int], nverts: int, cap: int) -> list[tuple[int, ...]]:
-    """All cliques (including the empty one) of size <= cap, as sorted tuples."""
-    out: list[tuple[int, ...]] = [()]
-
-    def extend(base: tuple[int, ...], cand: int):
-        if len(base) == cap:
-            return
-        t = cand
-        while t:
-            b = t & -t
-            t ^= b
-            v = b.bit_length() - 1
-            clique = base + (v,)
-            out.append(clique)
-            # only extend with larger ids to enumerate each clique once
-            extend(clique, t & masks[v])
-
-    extend((), (1 << nverts) - 1)
-    return out
-
-
 def random_chordal(n: int, attach_width: int, seed: int) -> Graph:
     """Random chordal graph: each new vertex attaches to a uniformly chosen
     clique (size <= attach_width, possibly empty) of the current graph.
@@ -337,15 +345,13 @@ def random_chordal(n: int, attach_width: int, seed: int) -> Graph:
         raise ValueError("attach_width must be in 1..n")
     rng = random.Random(seed)
     masks = [0] * n
-    edges: list[tuple[int, int]] = []
     for v in range(1, n):
-        cliques = _cliques_up_to(masks, v, attach_width)
-        chosen = cliques[rng.randrange(len(cliques))]
-        for u in chosen:
-            edges.append((u, v))
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    return Graph(n, edges)
+        cliques = [0, *clique_walk(masks, (1 << v) - 1, attach_width)]
+        masks[v] = cliques[rng.randrange(len(cliques))]
+        for u in range(v):
+            if masks[v] >> u & 1:
+                masks[u] |= 1 << v
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if masks[v] >> u & 1])
 
 
 def chordal_with_connectivities(kappa: int, ktilde: int) -> Graph:

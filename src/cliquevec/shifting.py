@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .cliques import clique_vector, cliques_of_size, maximal_cliques
 from .graphs import Graph, is_chordal
-from .peo import Peo, monotone_neighbors, special_peo
+from .peo import Peo, _normalize_clique_order, monotone_neighbors, special_peo
 from .threshold import recognize_threshold
 
 __all__ = [
@@ -66,10 +66,8 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     d = max(len(c) for c in cliques)
     if k_clique is None:
         k_order = _default_max_clique(cliques, d)
-    elif isinstance(k_clique, (set, frozenset)):
-        k_order = tuple(sorted(k_clique, reverse=True))
     else:
-        k_order = tuple(k_clique)
+        k_order = _normalize_clique_order(g, k_clique)
     if len(k_order) != d:
         raise ValueError(f"anchor clique has size {len(k_order)}, clique number is {d}")
 

@@ -26,7 +26,9 @@ import cliquevec.betti as betti
 from cliquevec.betti import (
     DEFAULT_FACE_CAP,
     _boundary_rank,
+    _component_count,
     _faces_by_dim,
+    _facet_faces,
     _flag_adjacency,
     _hochster_scan,
     _homology_dims,
@@ -96,6 +98,18 @@ def test_reduced_homology_cap():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_face_cap_on_the_flag_path():
+    # the octahedron has no dominated vertex, so the whole graph is a core
+    # that reaches the homology engine with its 6 + 12 + 8 = 26 faces
+    masks = masks_of(clique_complex(OCTAHEDRON))
+    assert _flag_adjacency(masks, 6) is not None
+    with pytest.raises(CapExceeded, match=r"^face count exceeds cap 25$"):
+        table_of(OCTAHEDRON, face_cap=25)
+    assert table_of(OCTAHEDRON, face_cap=26).entries == {
+        (0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1,
+    }
+
+
 def test_hochster_table_examples(bp12):
     assert table_of(Graph.path(3)).entries == {(0, 0): 1, (1, 2): 1}
     assert table_of(Graph.complete(5)).entries == {(0, 0): 1}
@@ -159,9 +173,9 @@ def test_hochster_computes_each_core_once(monkeypatch):
     # an edge, so the homology engine runs once.
     calls = []
 
-    def counting(facet_masks, face_cap):
-        calls.append(facet_masks)
-        return _homology_dims(facet_masks, face_cap)
+    def counting(by_dim, components):
+        calls.append(by_dim)
+        return _homology_dims(by_dim, components)
 
     monkeypatch.setattr(betti, "_homology_dims", counting)
     table = table_of(cycle_with_leaves(5, range(4)))
@@ -300,7 +314,7 @@ def test_boundary_ranks_match_sympy():
         complexes.append(SimplicialComplex(n, facets))
     for cx in complexes:
         masks = masks_of(cx)
-        by_dim = _faces_by_dim(masks, DEFAULT_FACE_CAP)
+        by_dim = _faces_by_dim(_facet_faces(masks), DEFAULT_FACE_CAP)
         ranks = [1] + [
             sympy.Matrix(_dense_boundary(by_dim[k], by_dim[k - 1])).rank()
             for k in range(1, len(by_dim))
@@ -308,7 +322,7 @@ def test_boundary_ranks_match_sympy():
         for k in range(2, len(by_dim)):
             assert _boundary_rank(by_dim[k], by_dim[k - 1]) == ranks[k]
         dims = (0, *(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))))
-        assert _homology_dims(masks, DEFAULT_FACE_CAP) == dims
+        assert _homology_dims(by_dim, _component_count(masks)) == dims
 
 
 def test_pinned_tables():

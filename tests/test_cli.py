@@ -165,6 +165,54 @@ def test_betti_cap_checked_before_clique_work(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: Hochster brute force capped at 10 vertices\n"
 
 
+@pytest.fixture()
+def c5_file(tmp_path):
+    path = tmp_path / "c5.graph"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    return str(path)
+
+
+def test_betti_refuses_non_chordal_before_the_scan(c5_file, tmp_path, capsys, monkeypatch):
+    import cliquevec.cli as cli
+    from cliquevec import Graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hochster scan ran before the chordality check")
+
+    monkeypatch.setattr(cli, "full_betti_hochster", refuse)
+    for method in ("all", "bvector"):
+        assert main(["betti", c5_file, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: b-vector route requires a chordal graph\n"
+    # the vertex cap is still checked first
+    c12 = tmp_path / "c12.graph"
+    c12.write_text(format_graph(Graph.cycle(12)))
+    assert main(["betti", str(c12), "--method", "all"]) == 4
+    assert capsys.readouterr().err == "error: Hochster brute force capped at 10 vertices\n"
+
+
+def test_betti_hochster_and_strand_skip_the_clique_vector(c5_file, capsys, monkeypatch):
+    import cliquevec.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("clique vector counted but not used")
+
+    monkeypatch.setattr(cli, "clique_vector", refuse)
+    assert main(["betti", c5_file, "--method", "hochster"]) == 0
+    assert capsys.readouterr().out == (
+        '{"chordal": false, "method": "hochster", "n": 5, "profile": {"depth": 2, '
+        '"is_two_linear": false, "kappa_from_betti": 2, "pd": 3}, "results": '
+        '{"hochster": {"entries": [[0, 0, "1"], [1, 2, "5"], [2, 3, "5"], '
+        '[3, 5, "1"]], "n": 5}}, "schema": "cliquevec/1"}\n'
+    )
+    assert main(["betti", c5_file, "--method", "strand"]) == 0
+    assert capsys.readouterr().out == (
+        '{"chordal": false, "method": "strand", "n": 5, "results": '
+        '{"strand": ["5", "5", "0", "0"]}, "schema": "cliquevec/1"}\n'
+    )
+
+
 def test_betti_complex_input(tmp_path, capsys):
     cx = tmp_path / "hollow.cx"
     cx.write_text("3\n0 1\n1 2\n0 2\n")

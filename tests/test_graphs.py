@@ -1,8 +1,13 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
 from cliquevec import (
     Graph,
     GraphFormatError,
+    cliques_of_size,
     components,
     cut_component_sum,
     format_graph,
@@ -13,6 +18,7 @@ from cliquevec import (
     simplicial_vertices,
     vertex_connectivity,
 )
+from cliquevec.graphs import clique_walk
 from cliquevec.peo import is_valid_peo
 
 from conftest import brute_is_chordal, brute_vertex_connectivity, dsu_component_count
@@ -185,6 +191,49 @@ def test_random_chordal_draws_are_chordal():
 def test_random_chordal_regression_fixture():
     g = random_chordal(8, 3, 42)
     assert g.edges() == [(0, 4), (0, 6), (1, 3), (1, 5), (4, 6), (4, 7), (6, 7)]
+
+
+def test_random_chordal_draws_are_pinned():
+    # The verify --random corpora and the benchmark's generator copy rely on
+    # these exact draws: a digest of 300 seeded graphs, n <= 15, width 1..4.
+    rng = random.Random(300)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(1, 15)
+        width = rng.randint(1, min(4, n))
+        digest.update(format_graph(random_chordal(n, width, rng.getrandbits(32))).encode())
+    assert digest.hexdigest() == "e1b285035016b4de2c39e59a859136bfec029777bd8381d2a57536913d2d5f38"
+
+
+def test_clique_walk_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(14)
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(g.edges())
+        expected = sorted(sorted(c) for c in nx.enumerate_all_cliques(ng))
+
+        def walk(cand, cap):
+            return [
+                [v for v in range(n) if m >> v & 1]
+                for m in clique_walk(g._masks, cand, cap)
+            ]
+
+        # each clique once, in lexicographic (depth-first preorder) order
+        assert walk((1 << n) - 1, n) == expected
+        for cap in (0, 1, 2, 3):
+            assert walk((1 << n) - 1, cap) == [c for c in expected if len(c) <= cap]
+        cand = rng.getrandbits(n)
+        inside = [c for c in expected if all(cand >> v & 1 for v in c)]
+        assert walk(cand, n) == inside
+        for size in (1, 2, 3):
+            assert cliques_of_size(g, size) == [
+                frozenset(c) for c in expected if len(c) == size
+            ]
 
 
 def test_peo_witness_simplicial_in_suffix(corpus_small):
