@@ -15,6 +15,7 @@ from cliquevec import (
     betti_from_hvector,
     clique_complex,
     clique_vector,
+    cut_component_sum,
     full_betti_hochster,
     h_from_f,
     homological_profile,
@@ -24,6 +25,7 @@ from cliquevec import (
 )
 import cliquevec.betti as betti
 from cliquevec.betti import (
+    CONNECTED_SET_CAP,
     DEFAULT_FACE_CAP,
     _boundary_rank,
     _component_count,
@@ -66,6 +68,61 @@ def test_linear_strand_examples(bp12):
     strand = linear_strand_hochster(bp12)
     assert strand[4] == 1  # beta_{5,6}
     assert strand[5] == 0
+
+
+def strand_by_cut_sums(g):
+    return tuple(cut_component_sum(g, g.n - i - 1) for i in range(1, g.n))
+
+
+def test_strand_matches_cut_sums():
+    rng = random.Random(12)
+    graphs = [
+        Graph(1),
+        Graph(2),
+        Graph(9),
+        Graph(12),
+        Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)]),
+        Graph(12, [(u, v) for u, v in combinations(range(12), 2) if u // 4 == v // 4]),
+        Graph.complete(2),
+        Graph.complete(12),
+        Graph.path(12),
+        Graph.cycle(11),
+        OCTAHEDRON,
+    ]
+    for _ in range(220):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.05, 0.2, 0.35, 0.5, 0.7, 0.9))
+        graphs.append(gnp(n, p, rng.getrandbits(32)))
+    for g in graphs:
+        assert linear_strand_hochster(g) == strand_by_cut_sums(g), g.edges()
+
+
+def test_strand_matches_networkx_component_counts():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(10)
+    graphs = [Graph(1), Graph(10), Graph.complete(10), Graph.cycle(10)]
+    graphs += [gnp(rng.randint(2, 10), rng.choice((0.2, 0.4, 0.7)), s) for s in range(30)]
+    for g in graphs:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        expected = tuple(
+            sum(
+                nx.number_connected_components(ng.subgraph(w)) - 1
+                for w in combinations(range(g.n), j)
+            )
+            for j in range(2, g.n + 1)
+        )
+        assert linear_strand_hochster(g) == expected
+
+
+def test_strand_connected_set_cap():
+    # K_20 has 2^20 - 1 connected sets, one under the cap; K_21 has more
+    assert linear_strand_hochster(Graph.complete(20)) == (0,) * 19
+    with pytest.raises(
+        CapExceeded, match=rf"^linear strand capped at {CONNECTED_SET_CAP} connected induced sets$"
+    ):
+        linear_strand_hochster(Graph.complete(21))
 
 
 def test_reduced_homology_examples(bp12):
@@ -333,8 +390,8 @@ def test_pinned_tables():
 
 
 @st.composite
-def relabeled_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
+def relabeled_graphs(draw, max_n=9):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, k in zip(pairs, keep) if k]
@@ -347,3 +404,10 @@ def relabeled_graphs(draw):
 def test_hochster_table_invariant_under_relabeling(pair):
     g, h = pair
     assert table_of(g).entries == table_of(h).entries
+
+
+@given(relabeled_graphs(max_n=10))
+@settings(max_examples=80, deadline=None)
+def test_strand_invariant_under_relabeling(pair):
+    g, h = pair
+    assert linear_strand_hochster(g) == linear_strand_hochster(h)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cliquevec
 
 from cliquevec import chordal_with_connectivities, format_graph, random_chordal
 from cliquevec.cli import main
@@ -163,6 +169,32 @@ def test_betti_cap_checked_before_clique_work(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Hochster brute force capped at 10 vertices\n"
+
+
+def test_betti_strand_connected_set_cap(tmp_path):
+    from cliquevec import Graph
+
+    # every one of the 2^60 - 1 vertex subsets of K_60 is connected; the
+    # strand stops at its own cap instead of running without bound
+    big = tmp_path / "k60.graph"
+    big.write_text(format_graph(Graph.complete(60)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquevec.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliquevec.cli", "betti", str(big), "--method", "strand"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: linear strand capped at 1048576 connected induced sets\n"
+
+
+def test_oversized_header_is_an_input_error(tmp_path, capsys):
+    huge = tmp_path / "huge.graph"
+    huge.write_text("1000000000 0\n")
+    assert main(["invariants", str(huge)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad graph file: vertex count 1000000000 exceeds limit 65536\n"
+    )
 
 
 @pytest.fixture()
