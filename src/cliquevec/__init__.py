@@ -27,6 +27,7 @@ from .cliques import (
     clique_vector,
     cliques_of_size,
     dominating_number,
+    dominating_numbers,
     kappa_tilde,
     maximal_cliques,
 )

@@ -23,7 +23,7 @@ from .betti import (
     homological_profile,
     linear_strand_hochster,
 )
-from .cliques import clique_vector, dominating_number, kappa_tilde, maximal_cliques
+from .cliques import _clique_vector, clique_vector, dominating_numbers, kappa_tilde, maximal_cliques
 from .complexes import CapExceeded, clique_complex, parse_complex
 from .graphs import (
     Graph,
@@ -85,8 +85,8 @@ def _vec(values) -> list[str]:
 
 def cmd_invariants(args) -> int:
     g = _read_graph(args.path)
-    chordal, _ = is_chordal(g)
-    c = clique_vector(g)
+    chordal, peo = is_chordal(g)
+    c = _clique_vector(g, peo)
     b = b_from_c(c)
     d = len(c)
     cliques = maximal_cliques(g)
@@ -101,7 +101,7 @@ def cmd_invariants(args) -> int:
         "b_vector": _vec(b),
         "kappa": vertex_connectivity(g),
         "kappa_tilde": kappa_tilde(g),
-        "d_i": _vec(dominating_number(g, i)[0] for i in range(1, d + 1)),
+        "d_i": _vec(dominating_numbers(g)),
         "theorems_applicable": chordal and not g.is_complete(),
     }
     _emit(out)
@@ -160,9 +160,8 @@ def cmd_shift(args) -> int:
         raise CliError(EXIT_PRECONDITION, f"shift verification failed: {exc}") from exc
     t = res.shifted_graph
     c_g = clique_vector(g)
-    d = len(c_g)
-    dom_g = [dominating_number(g, i)[0] for i in range(1, d + 1)]
-    dom_t = [dominating_number(t, i)[0] for i in range(1, d + 1)]
+    dom_g = dominating_numbers(g)
+    dom_t = dominating_numbers(t)
     out = {
         "schema": SCHEMA,
         "word": res.word,
@@ -218,10 +217,10 @@ def cmd_betti(args) -> int:
     )
     if "hochster" in methods:
         _check_vertex_cap(g.n, args.cap)  # before any other work
-    chordal, _ = is_chordal(g)
+    chordal, peo = is_chordal(g)
     if "bvector" in methods and not chordal:
         raise CliError(EXIT_PRECONDITION, "b-vector route requires a chordal graph")
-    c = clique_vector(g) if {"hvector", "bvector"} & set(methods) else ()
+    c = _clique_vector(g, peo) if {"hvector", "bvector"} & set(methods) else ()
     d = len(c)
     n = g.n
     out = {"schema": SCHEMA, "method": args.method, "n": n, "chordal": chordal}

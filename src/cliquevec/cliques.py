@@ -8,7 +8,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, clique_walk, is_chordal
+from .graphs import Graph, _bits, clique_walk, is_chordal
+from .peo import Peo
 
 __all__ = [
     "clique_vector",
@@ -16,12 +17,8 @@ __all__ = [
     "maximal_cliques",
     "kappa_tilde",
     "dominating_number",
+    "dominating_numbers",
 ]
-
-
-def _monotone_degrees(g: Graph, order) -> list[int]:
-    pos = {v: p for p, v in enumerate(order)}
-    return [sum(1 for u in g.adj[v] if pos[u] > pos[v]) for v in range(g.n)]
 
 
 def _count_cliques_general(g: Graph) -> list[int]:
@@ -41,9 +38,15 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
     """
     if g.n == 0:
         raise ValueError("clique vector undefined for the empty graph")
-    chordal, peo = is_chordal(g)
-    if chordal:
-        degs = _monotone_degrees(g, peo.order)
+    return _clique_vector(g, is_chordal(g)[1])
+
+
+def _clique_vector(g: Graph, peo: Peo | None) -> tuple[int, ...]:
+    """:func:`clique_vector` of a nonempty graph given its chordality
+    witness: a PEO, or None for a non-chordal graph."""
+    if peo is not None:
+        pos = peo.inverse
+        degs = [sum(1 for u in g.adj[v] if pos[u] > pos[v]) for v in range(g.n)]
         d = 1 + max(degs)
         return tuple(
             sum(comb(ns, i - 1) for ns in degs) for i in range(1, d + 1)
@@ -57,11 +60,16 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     """All cliques with exactly ``size`` vertices, in lexicographic order."""
     if size < 1:
         raise ValueError("size must be positive")
-    return [
-        _mask_to_set(clique)
-        for clique in clique_walk(g._masks, (1 << g.n) - 1, size)
-        if clique.bit_count() == size
-    ]
+    return [_mask_to_set(clique) for clique in _cliques_by_size(g, size)[size]]
+
+
+def _cliques_by_size(g: Graph, cap: int) -> list[list[int]]:
+    """``out[k]`` lists the k-cliques of ``g`` for ``k <= cap``, as bitmasks
+    in lexicographic order, all from one :func:`clique_walk`."""
+    out: list[list[int]] = [[] for _ in range(cap + 1)]
+    for clique in clique_walk(g._masks, (1 << g.n) - 1, cap):
+        out[clique.bit_count()].append(clique)
+    return out
 
 
 def _branches(masks, p: int, x: int) -> int:
@@ -113,28 +121,31 @@ def _bron_kerbosch(masks, cand: int) -> list[int]:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.add(b.bit_length() - 1)
-    return frozenset(out)
+    return frozenset(_bits(mask))
+
+
+def _clique_masks(g: Graph) -> list[int]:
+    """The maximal cliques of ``g`` as bitmasks, in Bron-Kerbosch order."""
+    return _bron_kerbosch(g._masks, (1 << g.n) - 1)
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """Inclusion-maximal cliques (Bron-Kerbosch with pivoting), sorted for
     determinism."""
-    cliques = [_mask_to_set(m) for m in _bron_kerbosch(g._masks, (1 << g.n) - 1)]
-    return sorted(cliques, key=sorted)
+    return sorted(map(_mask_to_set, _clique_masks(g)), key=sorted)
 
 
 def kappa_tilde(g: Graph) -> int:
     """Maximum cardinality of the intersection of two distinct maximal
     cliques; 0 when there are fewer than two maximal cliques."""
-    cliques = maximal_cliques(g)
+    return _kappa_tilde(_clique_masks(g))
+
+
+def _kappa_tilde(cliques: list[int]) -> int:
+    """:func:`kappa_tilde` from the maximal-clique bitmasks."""
     if len(cliques) < 2:
         return 0
-    return max(len(a & b) for a, b in combinations(cliques, 2))
+    return max((a & b).bit_count() for a, b in combinations(cliques, 2))
 
 
 def _min_cover(universe_size: int, cover_masks: list[int]) -> tuple[int, list[int]]:
@@ -224,22 +235,49 @@ def dominating_number(
     ``strict=True`` computes the proper-containment variant for comparison
     and raises ``ValueError`` when no strict dominating family exists.
     """
-    cliques = maximal_cliques(g)
+    cliques = sorted(_clique_masks(g), key=_bits)
     if not cliques:
         raise ValueError("graph has no cliques")
-    d = max(len(c) for c in cliques)
+    d = max(c.bit_count() for c in cliques)
     if not 1 <= i <= d:
         raise ValueError(f"i={i} out of range 1..{d}")
-    universe = [c for c in cliques if len(c) >= i]
+    size, chosen = _dominating_cover(cliques, _cliques_by_size(g, i)[i], i, strict)
+    return size, [_mask_to_set(c) for c in chosen]
+
+
+def dominating_numbers(g: Graph) -> tuple[int, ...]:
+    """``(d_1, ..., d_d)``: :func:`dominating_number` for every i up to the
+    clique number, from one maximal-clique list and one clique walk."""
+    cliques = _clique_masks(g)
+    if not cliques:
+        raise ValueError("graph has no cliques")
+    d = max(c.bit_count() for c in cliques)
+    return _dominating_numbers(cliques, _cliques_by_size(g, d))
+
+
+def _dominating_numbers(cliques: list[int], by_size: list[list[int]]) -> tuple[int, ...]:
+    """:func:`dominating_numbers` from the maximal-clique bitmasks and the
+    cliques bucketed by size (as :func:`_cliques_by_size` returns them, up
+    to at least the clique number)."""
+    d = max(c.bit_count() for c in cliques)
+    return tuple(_dominating_cover(cliques, by_size[i], i)[0] for i in range(1, d + 1))
+
+
+def _dominating_cover(
+    cliques: list[int], candidates: list[int], i: int, strict: bool = False
+) -> tuple[int, list[int]]:
+    """Minimum number of the i-cliques ``candidates`` (bitmasks) containing
+    every maximal clique of order >= i among ``cliques``, with the chosen
+    candidates; see :func:`dominating_number` for ``strict``."""
+    universe = [c for c in cliques if c.bit_count() >= i]
     if not universe:
         raise ValueError(f"no maximal clique of order >= {i}")
-    candidates = cliques_of_size(g, i)
     cover_masks = []
-    kept: list[frozenset[int]] = []
+    kept: list[int] = []
     for cand in candidates:
         m = 0
         for idx, target in enumerate(universe):
-            if cand <= target and (not strict or cand != target):
+            if not cand & ~target and (not strict or cand != target):
                 m |= 1 << idx
         if m:
             cover_masks.append(m)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, GraphFormatError
+from .graphs import Graph, GraphFormatError, _bits
 from .cliques import maximal_cliques
 
 __all__ = [
@@ -168,17 +168,40 @@ def is_shifted(cx: SimplicialComplex, order: Sequence[int]) -> bool:
     when for every face, swapping any member for a higher-ranked non-member
     again gives a face.
     """
-    if sorted(order) != list(range(cx.n)):
+    return _is_shifted(cx.n, [sum(1 << v for v in f) for f in cx.facets], order)
+
+
+def _is_shifted(n: int, facets: Iterable[int], order: Sequence[int]) -> bool:
+    """:func:`is_shifted` of the complex on ``n`` vertices with the facet
+    bitmasks ``facets``.
+
+    Faces are bitmasks over ranks, so a higher bit is a higher-ranked
+    vertex.  It is enough to swap each member for the lowest-ranked
+    non-member above it: when every face passes that test, swapping a
+    member for any higher non-member is a chain of such swaps, each from a
+    face to a face.
+    """
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
-    rank = {v: r for r, v in enumerate(order)}
-    faces = cx.faces()
-    faces.add(frozenset())
-    for face in list(faces):
-        for i in face:
-            for j in range(cx.n):
-                if j not in face and rank[j] > rank[i]:
-                    if (face - {i}) | {j} not in faces:
-                        return False
+    rank_bit = [0] * n
+    for r, v in enumerate(order):
+        rank_bit[v] = 1 << r
+    faces = {0}
+    for f in facets:
+        top = sum(rank_bit[v] for v in _bits(f))
+        sub = top
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & top
+    full = (1 << n) - 1
+    for face in faces:
+        t = face
+        while t:
+            b = t & -t
+            t ^= b
+            above = full & ~face & -(b << 1)
+            if above and face ^ b ^ (above & -above) not in faces:
+                return False
     return True
 
 
@@ -210,8 +233,13 @@ def is_matroid(cx: SimplicialComplex, vertex_cap: int = 16) -> bool:
     """Pure, and pure after deleting every vertex subset (brute force)."""
     if cx.n > vertex_cap:
         raise CapExceeded(f"matroid check capped at {vertex_cap} vertices")
-    facet_masks = [sum(1 << v for v in f) for f in cx.facets]
-    for smask in range(1 << cx.n):
+    return _is_matroid(cx.n, [sum(1 << v for v in f) for f in cx.facets])
+
+
+def _is_matroid(n: int, facet_masks: list[int]) -> bool:
+    """:func:`is_matroid` of the complex on ``n`` vertices with the facet
+    bitmasks ``facet_masks``, past the vertex cap."""
+    for smask in range(1 << n):
         keep = ~smask
         sizes = {m.bit_count() for m in _maximal_masks(fm & keep for fm in facet_masks)}
         if len(sizes) > 1:

@@ -118,6 +118,16 @@ class Graph:
         return cls(n, combinations(range(n), 2))
 
 
+def _bits(mask: int) -> list[int]:
+    """The vertices whose bits are set in ``mask``, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
 def masked_component_count(masks: Sequence[int], avail: int) -> int:
     """Number of connected components of the subgraph induced on the
     vertices whose bits are set in ``avail``.  Returns 0 for ``avail == 0``."""

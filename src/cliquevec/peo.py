@@ -58,15 +58,15 @@ class Peo:
 
 def is_valid_peo(g, order: Sequence[int]) -> bool:
     """True iff every vertex is simplicial among the vertices after it."""
-    n = g.n
-    if sorted(order) != list(range(n)):
+    from .graphs import _is_simplicial_masked  # local: avoids cycle
+
+    if sorted(order) != list(range(g.n)):
         return False
-    pos = {v: p for p, v in enumerate(order)}
-    for p, v in enumerate(order):
-        later = [u for u in g.adj[v] if pos[u] > p]
-        for a, b in combinations(later, 2):
-            if not g.has_edge(a, b):
-                return False
+    later = 0
+    for v in reversed(order):
+        if not _is_simplicial_masked(g._masks, v, later):
+            return False
+        later |= 1 << v
     return True
 
 
@@ -105,7 +105,7 @@ def special_peo(g, k_clique) -> Peo:
     Raises ``ValueError`` if ``g`` is not chordal or complete, or if
     ``k_clique`` is not a maximal clique.
     """
-    from .graphs import _is_simplicial_masked, is_chordal  # local: avoids cycle
+    from .graphs import is_chordal  # local: avoids cycle
 
     k_order = _normalize_clique_order(g, k_clique)
     chordal, _ = is_chordal(g)
@@ -113,8 +113,15 @@ def special_peo(g, k_clique) -> Peo:
         raise ValueError("graph is not chordal")
     if g.is_complete():
         raise ValueError("anchored PEO is only defined for non-complete graphs")
-    _check_maximal_clique(g, k_order)
+    return _anchored_peo(g, k_order)
 
+
+def _anchored_peo(g, k_order: Sequence[int]) -> Peo:
+    """:func:`special_peo` of a graph already known to be chordal and not
+    complete, with the anchor given as the ordered ``(x_1, ..., x_k)``."""
+    from .graphs import _is_simplicial_masked  # local: avoids cycle
+
+    _check_maximal_clique(g, k_order)
     n = g.n
     masks = g._masks
     k_mask = 0

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cliques import clique_vector, cliques_of_size, maximal_cliques
-from .graphs import Graph, is_chordal
-from .peo import Peo, _normalize_clique_order, monotone_neighbors, special_peo
+from .cliques import _clique_vector, _cliques_by_size, clique_vector, maximal_cliques
+from .graphs import Graph, _bits, is_chordal
+from .peo import Peo, _anchored_peo, _normalize_clique_order, monotone_neighbors
 from .threshold import recognize_threshold
 
 __all__ = [
@@ -40,7 +40,7 @@ class ShiftResult:
     k_clique: tuple[int, ...]
 
 
-def _default_max_clique(cliques: list[frozenset[int]], d: int) -> tuple[int, ...]:
+def _default_max_clique(cliques, d: int) -> tuple[int, ...]:
     best = min((tuple(sorted(c)) for c in cliques if len(c) == d))
     return tuple(sorted(best, reverse=True))
 
@@ -56,23 +56,31 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    chordal, _ = is_chordal(g)
+    chordal, peo = is_chordal(g)
     if not chordal:
         raise ValueError("input graph is not chordal")
     if g.is_complete():
         raise ValueError("input graph is complete")
 
-    cliques = maximal_cliques(g)
-    d = max(len(c) for c in cliques)
+    c = _clique_vector(g, peo)
+    d = len(c)
     if k_clique is None:
-        k_order = _default_max_clique(cliques, d)
+        k_order = _default_max_clique(maximal_cliques(g), d)
     else:
         k_order = _normalize_clique_order(g, k_clique)
     if len(k_order) != d:
         raise ValueError(f"anchor clique has size {len(k_order)}, clique number is {d}")
+    return _alpha_shift(g, k_order, c)
 
-    peo = special_peo(g, k_order)
+
+def _alpha_shift(g: Graph, k_order: tuple[int, ...], c: tuple[int, ...]) -> ShiftResult:
+    """:func:`alpha_shift` of a chordal, non-complete graph with at least
+    two vertices, clique vector ``c`` and the maximum clique ``k_order`` as
+    its anchor, ordered ``(x_1, ..., x_d)``.  The image is verified all the
+    same."""
+    peo = _anchored_peo(g, k_order)
     n = g.n
+    d = len(k_order)
     kset = frozenset(k_order)
     # x[i] is the vertex at position n - i + 1 (1-based), i.e. k_order[i-1].
     x = [None] + [peo.order[n - i] for i in range(1, d + 1)]
@@ -97,7 +105,7 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     word = recognize_threshold(shifted)
     if word is None:
         raise ShiftVerificationError("image graph is not threshold")
-    if clique_vector(shifted) != clique_vector(g):
+    if clique_vector(shifted) != c:
         raise ShiftVerificationError("clique vector not preserved")
     return ShiftResult(
         shifted_graph=shifted,
@@ -126,39 +134,55 @@ def clique_bijection_check(g: Graph, result: ShiftResult) -> BijectionReport:
     monotone neighborhood.  Any collision, non-clique image or count
     mismatch is reported as a finding (no exception).
     """
+    d = len(result.k_clique)
+    return _clique_bijection(
+        g, result, _cliques_by_size(g, d), _cliques_by_size(result.shifted_graph, d)
+    )
+
+
+def _clique_bijection(
+    g: Graph, result: ShiftResult, source_by_size: list[list[int]], target_by_size: list[list[int]]
+) -> BijectionReport:
+    """:func:`clique_bijection_check` from the cliques of ``g`` and of the
+    shifted graph bucketed by size (as :func:`_cliques_by_size` returns
+    them, up to at least the clique number)."""
     peo = result.peo
-    t = result.shifted_graph
-    kset = frozenset(result.k_clique)
+    k_mask = sum(1 << v for v in result.k_clique)
     d = len(result.k_clique)
     n = g.n
-    x = [None] + [peo.order[n - i] for i in range(1, d + 1)]
+    x_bit = [0] + [1 << peo.order[n - i] for i in range(1, d + 1)]
+    # index_of[u][v]: the place of v in u's monotone neighborhood, 1-based.
+    index_of: dict[int, dict[int, int]] = {}
 
     counts: dict = {}
     for size in range(1, d + 1):
-        source = cliques_of_size(g, size)
-        target = set(cliques_of_size(t, size))
-        seen: set[frozenset[int]] = set()
+        source = source_by_size[size]
+        target = set(target_by_size[size])
+        seen: set[int] = set()
         for c in source:
-            if c <= kset:
+            if not c & ~k_mask:
                 image = c
             else:
-                ordered = sorted(c, key=peo.position)
-                u = ordered[0]
-                mono = monotone_neighbors(g, peo, u)
-                index = {v: i for i, v in enumerate(mono, start=1)}
+                u, *rest = sorted(_bits(c), key=peo.position)
+                index = index_of.get(u)
+                if index is None:
+                    mono = monotone_neighbors(g, peo, u)
+                    index = index_of[u] = {v: i for i, v in enumerate(mono, start=1)}
+                image = 1 << u
                 try:
-                    image = frozenset({u} | {x[index[v]] for v in ordered[1:]})
+                    for v in rest:
+                        image |= x_bit[index[v]]
                 except KeyError:
                     return BijectionReport(
-                        False, counts, {"size": size, "clique": sorted(c), "reason": "not in monotone neighborhood"}
+                        False, counts, {"size": size, "clique": _bits(c), "reason": "not in monotone neighborhood"}
                     )
             if image in seen:
                 return BijectionReport(
-                    False, counts, {"size": size, "clique": sorted(c), "reason": "collision"}
+                    False, counts, {"size": size, "clique": _bits(c), "reason": "collision"}
                 )
             if image not in target:
                 return BijectionReport(
-                    False, counts, {"size": size, "clique": sorted(c), "reason": "image not a clique"}
+                    False, counts, {"size": size, "clique": _bits(c), "reason": "image not a clique"}
                 )
             seen.add(image)
         if len(seen) != len(target):

@@ -28,10 +28,28 @@ import random
 from dataclasses import dataclass
 
 from .betti import betti_from_hvector
-from .cliques import clique_vector, dominating_number, kappa_tilde
-from .complexes import clique_complex, is_matroid, is_pure, is_shifted
-from .graphs import Graph, cut_component_sum, is_chordal, random_chordal, vertex_connectivity
-from .shifting import ShiftVerificationError, alpha_shift, clique_bijection_check
+from .cliques import (
+    _clique_masks,
+    _clique_vector,
+    _cliques_by_size,
+    _dominating_numbers,
+    _kappa_tilde,
+)
+from .complexes import _is_matroid, _is_shifted
+from .graphs import (
+    Graph,
+    _bits,
+    cut_component_sum,
+    is_chordal,
+    random_chordal,
+    vertex_connectivity,
+)
+from .shifting import (
+    ShiftVerificationError,
+    _alpha_shift,
+    _clique_bijection,
+    _default_max_clique,
+)
 from .threshold import (
     ProfileMismatch,
     recognize_threshold,
@@ -153,10 +171,11 @@ def _betti_claims(b, c, kappa, d, n) -> list[ClaimResult]:
     return claims
 
 
-def _shift_claims(g, b, d_values, kappa, ktilde, d) -> list[ClaimResult]:
+def _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde) -> list[ClaimResult]:
     claims = []
+    d = len(c)
     try:
-        res = alpha_shift(g)
+        res = _alpha_shift(g, _default_max_clique(map(_bits, cliques), d), c)
     except (ShiftVerificationError, ValueError, RuntimeError) as exc:
         claims.append(ClaimResult("shift_preserves_cliques", "fail", {"error": str(exc)}))
         return claims
@@ -172,7 +191,9 @@ def _shift_claims(g, b, d_values, kappa, ktilde, d) -> list[ClaimResult]:
         )
     )
 
-    dom_t = [dominating_number(t, i)[0] for i in range(1, d + 1)]
+    t_cliques = _clique_masks(t)
+    t_by_size = _cliques_by_size(t, d)
+    dom_t = _dominating_numbers(t_cliques, t_by_size)
     bad = next((i for i in range(1, d + 1) if not dom_t[i - 1] <= d_values[i - 1]), None)
     claims.append(
         ClaimResult(
@@ -192,7 +213,7 @@ def _shift_claims(g, b, d_values, kappa, ktilde, d) -> list[ClaimResult]:
         )
     )
 
-    bij = clique_bijection_check(g, res)
+    bij = _clique_bijection(g, res, by_size, t_by_size)
     claims.append(
         ClaimResult("shift_clique_bijection", "pass" if bij.ok else "fail", bij.failure)
     )
@@ -200,7 +221,7 @@ def _shift_claims(g, b, d_values, kappa, ktilde, d) -> list[ClaimResult]:
     labeled = threshold_labeling(t)
     word_order = shifted_vertex_order(res.word)
     vertex_order = tuple(labeled[1][p] for p in word_order)
-    shifted_ok = is_shifted(clique_complex(t), vertex_order)
+    shifted_ok = _is_shifted(t.n, t_cliques, vertex_order)
     claims.append(
         ClaimResult(
             "shift_image_complex_shifted",
@@ -228,10 +249,10 @@ def _threshold_claims(g, word, b, cuts, kappa, d) -> list[ClaimResult]:
     return claims
 
 
-def _complex_claims(g, b, ktilde, d, word) -> list[ClaimResult]:
+def _complex_claims(g, cliques, b, ktilde, word) -> list[ClaimResult]:
+    # The clique complex of g has the maximal cliques as its facets.
     claims = []
-    cx = clique_complex(g)
-    if is_pure(cx):
+    if len({c.bit_count() for c in cliques}) <= 1:
         tail = b[ktilde:]
         ok = len(set(tail)) <= 1
         claims.append(
@@ -242,7 +263,7 @@ def _complex_claims(g, b, ktilde, d, word) -> list[ClaimResult]:
             )
         )
     if g.n <= 14:
-        matroid = is_matroid(cx)
+        matroid = _is_matroid(g.n, cliques)
         if matroid:
             ok = word is not None
             claims.append(
@@ -276,8 +297,13 @@ def _is_sds_form(word: str) -> bool:
 
 
 def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
-    """Run the whole claim suite on one graph; returns a JSON-ready report."""
-    chordal, _ = is_chordal(g)
+    """Run the whole claim suite on one graph; returns a JSON-ready report.
+
+    Each derived object is built once and handed down: the PEO of g, its
+    maximal cliques (one Bron-Kerbosch run) and its cliques by size (one
+    clique walk), and the same two lists for the shifted graph.
+    """
+    chordal, peo = is_chordal(g)
     report: dict = {
         "instance": instance_id,
         "n": g.n,
@@ -297,12 +323,14 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
         report["failures"] = 0
         return report
 
-    c = clique_vector(g)
+    c = _clique_vector(g, peo)
     b = b_from_c(c)
     d = len(c)
     kappa = vertex_connectivity(g)
-    ktilde = kappa_tilde(g)
-    d_values = [dominating_number(g, i)[0] for i in range(1, d + 1)]
+    cliques = _clique_masks(g)
+    by_size = _cliques_by_size(g, d)
+    ktilde = _kappa_tilde(cliques)
+    d_values = _dominating_numbers(cliques, by_size)
     cuts = [cut_component_sum(g, k) for k in range(d)]
     word = recognize_threshold(g)
 
@@ -320,10 +348,10 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
     claims += _bounds_claims(b, cuts, d_values, kappa, ktilde, d)
     claims += _betti_claims(b, c, kappa, d, g.n)
     if g.n >= 2:
-        claims += _shift_claims(g, b, d_values, kappa, ktilde, d)
+        claims += _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde)
     if word is not None:
         claims += _threshold_claims(g, word, b, cuts, kappa, d)
-    claims += _complex_claims(g, b, ktilde, d, word)
+    claims += _complex_claims(g, cliques, b, ktilde, word)
 
     report["claims"] = [cl.to_dict() for cl in claims]
     report["failures"] = sum(1 for cl in claims if cl.status == "fail")

@@ -5,11 +5,12 @@ The oracles here deliberately use different mechanisms than the library
 that agreement is evidence, not tautology.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 
-from cliquevec import Graph, build_random_corpus, chordal_with_connectivities
+from cliquevec import Graph, build_random_corpus, chordal_with_connectivities, random_chordal
 
 
 # -- fixtures ------------------------------------------------------------
@@ -46,6 +47,28 @@ def corpus300() -> list[Graph]:
 
 
 # -- oracles -------------------------------------------------------------
+
+
+def oracle_graphs(seed: int, count: int, max_n: int = 12) -> list[Graph]:
+    """Seeded G(n, p) graphs and ``random_chordal`` graphs, alternating,
+    with at most ``max_n`` vertices."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(1, max_n)
+        if k % 2:
+            out.append(random_chordal(n, rng.randint(1, min(4, n)), rng.getrandbits(32)))
+        else:
+            p = rng.choice((0.2, 0.4, 0.6, 0.8))
+            out.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+def to_networkx(nx, g: Graph):
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return ng
 
 
 def brute_clique_counts(g: Graph) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -266,6 +267,15 @@ def test_verify_random(capsys):
     code, lines = run(capsys, ["verify", "--random", "8", "25", "3"])
     assert code == 0
     assert lines[-1]["instances"] == 25 and lines[-1]["failures"] == 0
+
+
+def test_verify_random_output_is_pinned(capsys):
+    """The claim-suite report stream of the CI gate's generator, byte for byte."""
+    assert main(["verify", "--random", "12", "200", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "00f74b759123b0fefd6f81640a35ec3e01ba8780959df5d722cf6d69ab2e167c"
+    )
 
 
 def test_verify_argument_validation(capsys):

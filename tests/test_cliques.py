@@ -1,18 +1,23 @@
+from itertools import combinations
+
 import pytest
 
 from cliquevec import (
     Graph,
     clique_vector,
     cliques_of_size,
+    components,
     dominating_number,
+    dominating_numbers,
     graph_from_word,
+    is_chordal,
     kappa_tilde,
     maximal_cliques,
     vertex_connectivity,
 )
 from cliquevec.cliques import _count_cliques_general
 
-from conftest import brute_clique_counts, brute_maximal_cliques
+from conftest import brute_clique_counts, brute_maximal_cliques, oracle_graphs
 
 
 def test_clique_vector_examples(bp12):
@@ -220,3 +225,52 @@ def test_alternating_clique_sum_counts_components(corpus_small):
     for g in corpus_small:
         c = clique_vector(g)
         assert sum((-1) ** i * ci for i, ci in enumerate(c)) == components(g)[0]
+
+
+# Edgeless, one-vertex and disconnected graphs next to the seeded ones.
+SPECIAL_GRAPHS = [Graph(6), Graph(1), Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])]
+
+
+def brute_dominating_numbers(g: Graph) -> tuple[int, ...]:
+    """d_i as the fewest i-cliques, tried in every combination, such that
+    each maximal clique of order >= i contains one of them."""
+    maximal = brute_maximal_cliques(g)
+    d = max(len(c) for c in maximal)
+    out = []
+    for i in range(1, d + 1):
+        universe = [c for c in maximal if len(c) >= i]
+        candidates = [frozenset(s) for c in universe for s in combinations(sorted(c), i)]
+        candidates = sorted(set(candidates), key=sorted)
+        k = next(
+            k
+            for k in range(1, len(universe) + 1)
+            if any(
+                all(any(s <= c for s in family) for c in universe)
+                for family in combinations(candidates, k)
+            )
+        )
+        out.append(k)
+    return tuple(out)
+
+
+def test_dominating_numbers_match_dominating_number(corpus300):
+    graphs = [*corpus300, *SPECIAL_GRAPHS, *oracle_graphs(seed=7007, count=160)]
+    assert any(not is_chordal(g)[0] for g in graphs)
+    assert any(components(g)[0] > 1 for g in graphs)
+    for g in graphs:
+        d = len(clique_vector(g))
+        expected = tuple(dominating_number(g, i)[0] for i in range(1, d + 1))
+        assert dominating_numbers(g) == expected
+
+
+def test_dominating_numbers_match_brute_force(corpus_small):
+    graphs = [g for g in corpus_small if g.n <= 8] + SPECIAL_GRAPHS
+    graphs += oracle_graphs(seed=8008, count=120, max_n=8)
+    assert len(graphs) > 80
+    for g in graphs:
+        assert dominating_numbers(g) == brute_dominating_numbers(g)
+
+
+def test_dominating_numbers_errors():
+    with pytest.raises(ValueError):
+        dominating_numbers(Graph(0))

@@ -19,6 +19,7 @@ from cliquevec import (
     parse_complex,
     recognize_threshold,
     restrict,
+    shifted_vertex_order,
     skeleton,
 )
 from cliquevec.complexes import CapExceeded, is_shifted_under_some_order
@@ -127,6 +128,77 @@ def test_is_shifted_examples():
 def test_is_shifted_needs_permutation():
     with pytest.raises(ValueError):
         is_shifted(SimplicialComplex(3, [{0, 1}]), (0, 1))
+    for bad in ((0, 0, 1), (0, 1, 3), (0, 1, 2, 3)):
+        with pytest.raises(ValueError):
+            is_shifted(SimplicialComplex(3, [{0, 1}]), bad)
+
+
+def frozenset_is_shifted(cx, order) -> bool:
+    """The definition on frozenset faces: every swap of a member for any
+    higher-ranked non-member gives a face."""
+    rank = {v: r for r, v in enumerate(order)}
+    faces = cx.faces()
+    faces.add(frozenset())
+    return all(
+        (face - {i}) | {j} in faces
+        for face in faces
+        for i in face
+        for j in range(cx.n)
+        if j not in face and rank[j] > rank[i]
+    )
+
+
+def shifted_closure(n, generators):
+    """The smallest complex on ranks 0..n-1 holding ``generators`` that is
+    shifted under the identity order: close under subsets and under
+    swapping a member for any higher non-member."""
+    faces = set()
+    todo = [frozenset(f) for f in generators]
+    while todo:
+        f = todo.pop()
+        if f in faces:
+            continue
+        faces.add(f)
+        todo += [f - {i} for i in f]
+        todo += [(f - {i}) | {j} for i in f for j in range(i + 1, n) if j not in f]
+    return [f for f in faces if f]
+
+
+def test_is_shifted_matches_frozenset_definition():
+    rng = random.Random(1717)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        generators = [
+            {v for v in range(n) if rng.random() < 0.4} for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.5:
+            # A shifted complex, relabeled so that the order is not the identity.
+            labels = list(range(n))
+            rng.shuffle(labels)
+            faces = shifted_closure(n, generators)
+            cx = SimplicialComplex(n, [{labels[r] for r in f} for f in faces])
+            order = tuple(labels)
+        else:
+            cx = SimplicialComplex(n, generators)
+            order = tuple(rng.sample(range(n), n))
+        expected = frozenset_is_shifted(cx, order)
+        assert is_shifted(cx, order) == expected
+        verdicts.append(expected)
+    assert 50 < sum(verdicts) < 250
+
+
+def test_is_shifted_on_threshold_clique_complexes():
+    rng = random.Random(1718)
+    for _ in range(60):
+        word = "S" + "".join(rng.choice("SD") for _ in range(rng.randint(0, 8)))
+        g = graph_from_word(word)
+        cx = clique_complex(g)
+        word_order = shifted_vertex_order(word)
+        assert is_shifted(cx, word_order)
+        assert frozenset_is_shifted(cx, word_order)
+        other = tuple(rng.sample(range(g.n), g.n))
+        assert is_shifted(cx, other) == frozenset_is_shifted(cx, other)
 
 
 def test_pure_matroid_examples():

@@ -21,7 +21,13 @@ from cliquevec import (
 from cliquevec.graphs import MAX_PARSED_VERTICES, clique_walk, connected_sets
 from cliquevec.peo import is_valid_peo
 
-from conftest import brute_is_chordal, brute_vertex_connectivity, dsu_component_count
+from conftest import (
+    brute_is_chordal,
+    brute_vertex_connectivity,
+    dsu_component_count,
+    oracle_graphs,
+    to_networkx,
+)
 
 
 def test_graph_basics():
@@ -306,3 +312,16 @@ def test_graph_text_vertex_limit():
     assert parse_graph(f"{MAX_PARSED_VERTICES} 0\n").n == MAX_PARSED_VERTICES
     with pytest.raises(GraphFormatError, match=f"exceeds limit {MAX_PARSED_VERTICES}"):
         parse_graph(f"{MAX_PARSED_VERTICES + 1} 0\n")
+
+
+def test_is_chordal_and_connectivity_match_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = oracle_graphs(seed=2718, count=160)
+    verdicts = []
+    for g in graphs:
+        ng = to_networkx(nx, g)
+        chordal = is_chordal(g)[0]
+        assert chordal == nx.is_chordal(ng)
+        assert vertex_connectivity(g) == nx.node_connectivity(ng)
+        verdicts.append(chordal)
+    assert 20 < sum(verdicts) < 150

@@ -19,7 +19,7 @@ from cliquevec import (
     threshold_profile,
     word_from_bvector,
 )
-from conftest import has_forbidden_threshold_subgraph
+from conftest import has_forbidden_threshold_subgraph, oracle_graphs, to_networkx
 
 
 def all_words(max_len):
@@ -222,3 +222,17 @@ def test_clique_complexes_of_words_are_shifted():
     for w in all_words(8):
         cx = clique_complex(graph_from_word(w))
         assert is_shifted(cx, shifted_vertex_order(w)), w
+
+
+def test_recognition_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.threshold import is_threshold_graph
+
+    graphs = oracle_graphs(seed=3141, count=160)
+    graphs += [graph_from_word(random_word(n, n)) for n in range(1, 13)]
+    verdicts = []
+    for g in graphs:
+        threshold = recognize_threshold(g) is not None
+        assert threshold == is_threshold_graph(to_networkx(nx, g))
+        verdicts.append(threshold)
+    assert 20 < sum(verdicts) < len(graphs) - 20
