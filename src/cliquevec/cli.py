@@ -23,7 +23,7 @@ from .betti import (
     homological_profile,
     linear_strand_hochster,
 )
-from .cliques import _clique_vector, clique_vector, dominating_numbers, kappa_tilde, maximal_cliques
+from .cliques import clique_vector, dominating_numbers, kappa_tilde, maximal_cliques
 from .complexes import CapExceeded, clique_complex, parse_complex
 from .graphs import (
     Graph,
@@ -85,8 +85,8 @@ def _vec(values) -> list[str]:
 
 def cmd_invariants(args) -> int:
     g = _read_graph(args.path)
-    chordal, peo = is_chordal(g)
-    c = _clique_vector(g, peo)
+    chordal = is_chordal(g)[0]
+    c = clique_vector(g)
     b = b_from_c(c)
     d = len(c)
     cliques = maximal_cliques(g)
@@ -217,10 +217,10 @@ def cmd_betti(args) -> int:
     )
     if "hochster" in methods:
         _check_vertex_cap(g.n, args.cap)  # before any other work
-    chordal, peo = is_chordal(g)
+    chordal = is_chordal(g)[0]
     if "bvector" in methods and not chordal:
         raise CliError(EXIT_PRECONDITION, "b-vector route requires a chordal graph")
-    c = _clique_vector(g, peo) if {"hvector", "bvector"} & set(methods) else ()
+    c = clique_vector(g) if {"hvector", "bvector"} & set(methods) else ()
     d = len(c)
     n = g.n
     out = {"schema": SCHEMA, "method": args.method, "n": n, "chordal": chordal}

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
-from .graphs import Graph, _bits, clique_walk, is_chordal
-from .peo import Peo
+from .graphs import Graph, _bits, clique_walk, is_chordal, once_per_graph
 
 __all__ = [
     "clique_vector",
@@ -29,6 +29,7 @@ def _count_cliques_general(g: Graph) -> list[int]:
     return counts
 
 
+@once_per_graph
 def clique_vector(g: Graph) -> tuple[int, ...]:
     """The clique vector ``(c_1, ..., c_d)``: ``c_i`` counts i-cliques.
 
@@ -38,12 +39,7 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
     """
     if g.n == 0:
         raise ValueError("clique vector undefined for the empty graph")
-    return _clique_vector(g, is_chordal(g)[1])
-
-
-def _clique_vector(g: Graph, peo: Peo | None) -> tuple[int, ...]:
-    """:func:`clique_vector` of a nonempty graph given its chordality
-    witness: a PEO, or None for a non-chordal graph."""
+    peo = is_chordal(g)[1]
     if peo is not None:
         pos = peo.inverse
         degs = [sum(1 for u in g.adj[v] if pos[u] > pos[v]) for v in range(g.n)]
@@ -60,16 +56,22 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     """All cliques with exactly ``size`` vertices, in lexicographic order."""
     if size < 1:
         raise ValueError("size must be positive")
-    return [_mask_to_set(clique) for clique in _cliques_by_size(g, size)[size]]
+    by_size = _cliques_by_size(g)
+    return [_mask_to_set(c) for c in by_size[size]] if size < len(by_size) else []
 
 
-def _cliques_by_size(g: Graph, cap: int) -> list[list[int]]:
-    """``out[k]`` lists the k-cliques of ``g`` for ``k <= cap``, as bitmasks
-    in lexicographic order, all from one :func:`clique_walk`."""
-    out: list[list[int]] = [[] for _ in range(cap + 1)]
-    for clique in clique_walk(g._masks, (1 << g.n) - 1, cap):
-        out[clique.bit_count()].append(clique)
-    return out
+@once_per_graph
+def _cliques_by_size(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``out[k]`` lists the k-cliques of ``g`` for every k up to the clique
+    number, as bitmasks in lexicographic order, all from one
+    :func:`clique_walk`."""
+    out: list[list[int]] = [[]]
+    for clique in clique_walk(g._masks, (1 << g.n) - 1, g.n):
+        k = clique.bit_count()
+        if k == len(out):
+            out.append([])
+        out[k].append(clique)
+    return tuple(map(tuple, out))
 
 
 def _branches(masks, p: int, x: int) -> int:
@@ -124,9 +126,10 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
-def _clique_masks(g: Graph) -> list[int]:
+@once_per_graph
+def _clique_masks(g: Graph) -> tuple[int, ...]:
     """The maximal cliques of ``g`` as bitmasks, in Bron-Kerbosch order."""
-    return _bron_kerbosch(g._masks, (1 << g.n) - 1)
+    return tuple(_bron_kerbosch(g._masks, (1 << g.n) - 1))
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
@@ -241,7 +244,7 @@ def dominating_number(
     d = max(c.bit_count() for c in cliques)
     if not 1 <= i <= d:
         raise ValueError(f"i={i} out of range 1..{d}")
-    size, chosen = _dominating_cover(cliques, _cliques_by_size(g, i)[i], i, strict)
+    size, chosen = _dominating_cover(cliques, _cliques_by_size(g)[i], i, strict)
     return size, [_mask_to_set(c) for c in chosen]
 
 
@@ -251,20 +254,14 @@ def dominating_numbers(g: Graph) -> tuple[int, ...]:
     cliques = _clique_masks(g)
     if not cliques:
         raise ValueError("graph has no cliques")
-    d = max(c.bit_count() for c in cliques)
-    return _dominating_numbers(cliques, _cliques_by_size(g, d))
-
-
-def _dominating_numbers(cliques: list[int], by_size: list[list[int]]) -> tuple[int, ...]:
-    """:func:`dominating_numbers` from the maximal-clique bitmasks and the
-    cliques bucketed by size (as :func:`_cliques_by_size` returns them, up
-    to at least the clique number)."""
-    d = max(c.bit_count() for c in cliques)
-    return tuple(_dominating_cover(cliques, by_size[i], i)[0] for i in range(1, d + 1))
+    by_size = _cliques_by_size(g)
+    return tuple(
+        _dominating_cover(cliques, by_size[i], i)[0] for i in range(1, len(by_size))
+    )
 
 
 def _dominating_cover(
-    cliques: list[int], candidates: list[int], i: int, strict: bool = False
+    cliques: Sequence[int], candidates: Sequence[int], i: int, strict: bool = False
 ) -> tuple[int, list[int]]:
     """Minimum number of the i-cliques ``candidates`` (bitmasks) containing
     every maximal clique of order >= i among ``cliques``, with the chosen

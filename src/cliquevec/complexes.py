@@ -11,7 +11,7 @@ ghosts: they count toward ``n`` but carry no faces.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import Graph, GraphFormatError, _bits
@@ -203,24 +203,6 @@ def _is_shifted(n: int, facets: Iterable[int], order: Sequence[int]) -> bool:
             if above and face ^ b ^ (above & -above) not in faces:
                 return False
     return True
-
-
-def is_shifted_under_some_order(cx: SimplicialComplex, vertex_cap: int = 8) -> bool:
-    """Convenience search: try the order induced by the 1-skeleton's
-    threshold word first (cheap, succeeds for every threshold clique
-    complex), then fall back to all orders (n <= vertex_cap)."""
-    from .threshold import shifted_vertex_order, threshold_labeling
-
-    edges = {tuple(sorted(f)) for f in skeleton(cx, 1).facets if len(f) == 2}
-    labeled = threshold_labeling(Graph(cx.n, edges)) if cx.n else None
-    if labeled is not None:
-        word, labels = labeled
-        order = tuple(labels[p] for p in shifted_vertex_order(word))
-        if is_shifted(cx, order):
-            return True
-    if cx.n > vertex_cap:
-        raise CapExceeded(f"order search capped at {vertex_cap} vertices")
-    return any(is_shifted(cx, p) for p in permutations(range(cx.n)))
 
 
 def is_pure(cx: SimplicialComplex) -> bool:

@@ -11,6 +11,7 @@ approximated.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "chordal_with_connectivities",
     "parse_graph",
     "format_graph",
+    "once_per_graph",
 ]
 
 
@@ -43,9 +45,16 @@ class Graph:
     No self-loops; adjacency is kept symmetric by construction.  Instances
     are immutable (and hashable), so all operations in this package are pure
     functions that are safe to call concurrently.
+
+    ``_memo`` keeps the values of the :func:`once_per_graph` functions (the
+    chordality witness, the clique vector, the maximal cliques, the cliques
+    by size), keyed by function, so each is derived once per graph however
+    many callers need it.  Every kept value is immutable, and the memo takes
+    no part in equality or hashing.  Concurrent calls stay safe: two calls
+    that miss at once each compute the same value, and either store wins.
     """
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "adj", "_masks", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -63,6 +72,7 @@ class Graph:
         object.__setattr__(
             self, "_masks", tuple(sum(1 << u for u in s) for s in adj)
         )
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
@@ -116,6 +126,22 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, combinations(range(n), 2))
+
+
+def once_per_graph(fn):
+    """Decorator: compute ``fn(g)`` once per :class:`Graph` and keep it in
+    ``g._memo``.  ``fn`` must return an immutable value, because every later
+    call returns that same object; an exception is not kept."""
+
+    @functools.wraps(fn)
+    def memoized(g: Graph):
+        try:
+            return g._memo[fn]
+        except KeyError:
+            value = g._memo[fn] = fn(g)
+            return value
+
+    return memoized
 
 
 def _bits(mask: int) -> list[int]:
@@ -266,18 +292,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return Graph(len(old_ids), edges), tuple(old_ids)
 
 
-def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
-    """Chordality test with a perfect elimination ordering as witness.
-
-    Runs maximum cardinality search and verifies the resulting order; the
-    graph is chordal iff the verification passes, in which case the order is
-    returned as a :class:`Peo` (position 0 is eliminated first).  Ties in the
-    search are broken toward smaller vertex ids, so the witness is
-    deterministic.
-    """
+def _max_cardinality_search(g: Graph) -> list[int]:
+    """Maximum cardinality search, smaller ids first on ties; returns the
+    reverse visit order (position 0 is eliminated first)."""
     n = g.n
-    if n == 0:
-        return True, Peo(())
     weight = [0] * n
     visited = [False] * n
     visit: list[int] = []
@@ -291,7 +309,23 @@ def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
         for u in g.adj[v]:
             if not visited[u]:
                 weight[u] += 1
-    order = visit[::-1]
+    return visit[::-1]
+
+
+@once_per_graph
+def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
+    """Chordality test with a perfect elimination ordering as witness.
+
+    Runs maximum cardinality search and verifies the resulting order; the
+    graph is chordal iff the verification passes, in which case the order is
+    returned as a :class:`Peo` (position 0 is eliminated first).  Ties in the
+    search are broken toward smaller vertex ids, so the witness is
+    deterministic.
+    """
+    n = g.n
+    if n == 0:
+        return True, Peo(())
+    order = _max_cardinality_search(g)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p

@@ -105,7 +105,7 @@ def special_peo(g, k_clique) -> Peo:
     Raises ``ValueError`` if ``g`` is not chordal or complete, or if
     ``k_clique`` is not a maximal clique.
     """
-    from .graphs import is_chordal  # local: avoids cycle
+    from .graphs import _is_simplicial_masked, is_chordal  # local: avoids cycle
 
     k_order = _normalize_clique_order(g, k_clique)
     chordal, _ = is_chordal(g)
@@ -113,14 +113,6 @@ def special_peo(g, k_clique) -> Peo:
         raise ValueError("graph is not chordal")
     if g.is_complete():
         raise ValueError("anchored PEO is only defined for non-complete graphs")
-    return _anchored_peo(g, k_order)
-
-
-def _anchored_peo(g, k_order: Sequence[int]) -> Peo:
-    """:func:`special_peo` of a graph already known to be chordal and not
-    complete, with the anchor given as the ordered ``(x_1, ..., x_k)``."""
-    from .graphs import _is_simplicial_masked  # local: avoids cycle
-
     _check_maximal_clique(g, k_order)
     n = g.n
     masks = g._masks

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cliques import _clique_vector, _cliques_by_size, clique_vector, maximal_cliques
+from .cliques import _cliques_by_size, clique_vector, maximal_cliques
 from .graphs import Graph, _bits, is_chordal
-from .peo import Peo, _anchored_peo, _normalize_clique_order, monotone_neighbors
+from .peo import Peo, _normalize_clique_order, monotone_neighbors, special_peo
 from .threshold import recognize_threshold
 
 __all__ = [
@@ -40,11 +40,6 @@ class ShiftResult:
     k_clique: tuple[int, ...]
 
 
-def _default_max_clique(cliques, d: int) -> tuple[int, ...]:
-    best = min((tuple(sorted(c)) for c in cliques if len(c) == d))
-    return tuple(sorted(best, reverse=True))
-
-
 def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     """Shift a chordal non-complete graph onto a threshold graph.
 
@@ -56,31 +51,21 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    chordal, peo = is_chordal(g)
-    if not chordal:
+    if not is_chordal(g)[0]:
         raise ValueError("input graph is not chordal")
     if g.is_complete():
         raise ValueError("input graph is complete")
 
-    c = _clique_vector(g, peo)
+    c = clique_vector(g)
     d = len(c)
     if k_clique is None:
-        k_order = _default_max_clique(maximal_cliques(g), d)
+        k_order = min(tuple(sorted(k)) for k in maximal_cliques(g) if len(k) == d)[::-1]
     else:
         k_order = _normalize_clique_order(g, k_clique)
     if len(k_order) != d:
         raise ValueError(f"anchor clique has size {len(k_order)}, clique number is {d}")
-    return _alpha_shift(g, k_order, c)
-
-
-def _alpha_shift(g: Graph, k_order: tuple[int, ...], c: tuple[int, ...]) -> ShiftResult:
-    """:func:`alpha_shift` of a chordal, non-complete graph with at least
-    two vertices, clique vector ``c`` and the maximum clique ``k_order`` as
-    its anchor, ordered ``(x_1, ..., x_d)``.  The image is verified all the
-    same."""
-    peo = _anchored_peo(g, k_order)
+    peo = special_peo(g, k_order)
     n = g.n
-    d = len(k_order)
     kset = frozenset(k_order)
     # x[i] is the vertex at position n - i + 1 (1-based), i.e. k_order[i-1].
     x = [None] + [peo.order[n - i] for i in range(1, d + 1)]
@@ -134,21 +119,12 @@ def clique_bijection_check(g: Graph, result: ShiftResult) -> BijectionReport:
     monotone neighborhood.  Any collision, non-clique image or count
     mismatch is reported as a finding (no exception).
     """
-    d = len(result.k_clique)
-    return _clique_bijection(
-        g, result, _cliques_by_size(g, d), _cliques_by_size(result.shifted_graph, d)
-    )
-
-
-def _clique_bijection(
-    g: Graph, result: ShiftResult, source_by_size: list[list[int]], target_by_size: list[list[int]]
-) -> BijectionReport:
-    """:func:`clique_bijection_check` from the cliques of ``g`` and of the
-    shifted graph bucketed by size (as :func:`_cliques_by_size` returns
-    them, up to at least the clique number)."""
     peo = result.peo
     k_mask = sum(1 << v for v in result.k_clique)
     d = len(result.k_clique)
+    # Padded, so a size past either graph's clique number lists no cliques.
+    source_by_size = _cliques_by_size(g) + ((),) * d
+    target_by_size = _cliques_by_size(result.shifted_graph) + ((),) * d
     n = g.n
     x_bit = [0] + [1 << peo.order[n - i] for i in range(1, d + 1)]
     # index_of[u][v]: the place of v in u's monotone neighborhood, 1-based.

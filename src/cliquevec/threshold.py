@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .graphs import Graph, masked_component_count, vertex_connectivity
-from .cliques import _clique_masks, _cliques_by_size, _dominating_numbers, _mask_to_set
+from .cliques import dominating_numbers, maximal_cliques
 
 __all__ = [
     "normalize_word",
@@ -285,16 +285,14 @@ def _verify_profile(p: ThresholdProfile) -> None:
                 f"minimum {kappa}-cuts are {cuts}, expected exactly {cut_mask}"
             )
 
-    cliques = _clique_masks(g)
-    actual = [_mask_to_set(c) for c in cliques]
     expected = [c for i in sorted(p.maximal_cliques_by_size) for c in p.maximal_cliques_by_size[i]]
     # Sizes below kappa+1 have no maximal cliques, so `expected` is complete.
-    if sorted(expected, key=sorted) != sorted(actual, key=sorted):
+    if sorted(expected, key=sorted) != maximal_cliques(g):
         raise ProfileMismatch("maximal clique lists differ from brute force")
 
     # Equal maximal-clique lists give equal clique numbers, so the two
     # d-vectors have the same length.
-    d_values = _dominating_numbers(cliques, _cliques_by_size(g, p.clique_number))
+    d_values = dominating_numbers(g)
     for i, di in enumerate(d_values, start=1):
         if di != p.dominating_numbers[i - 1]:
             raise ProfileMismatch(

@@ -28,28 +28,16 @@ import random
 from dataclasses import dataclass
 
 from .betti import betti_from_hvector
-from .cliques import (
-    _clique_masks,
-    _clique_vector,
-    _cliques_by_size,
-    _dominating_numbers,
-    _kappa_tilde,
-)
+from .cliques import _clique_masks, clique_vector, dominating_numbers, kappa_tilde
 from .complexes import _is_matroid, _is_shifted
 from .graphs import (
     Graph,
-    _bits,
     cut_component_sum,
     is_chordal,
     random_chordal,
     vertex_connectivity,
 )
-from .shifting import (
-    ShiftVerificationError,
-    _alpha_shift,
-    _clique_bijection,
-    _default_max_clique,
-)
+from .shifting import ShiftVerificationError, alpha_shift, clique_bijection_check
 from .threshold import (
     ProfileMismatch,
     recognize_threshold,
@@ -171,11 +159,11 @@ def _betti_claims(b, c, kappa, d, n) -> list[ClaimResult]:
     return claims
 
 
-def _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde) -> list[ClaimResult]:
+def _shift_claims(g, d_values, kappa, ktilde) -> list[ClaimResult]:
     claims = []
-    d = len(c)
+    d = len(d_values)
     try:
-        res = _alpha_shift(g, _default_max_clique(map(_bits, cliques), d), c)
+        res = alpha_shift(g)
     except (ShiftVerificationError, ValueError, RuntimeError) as exc:
         claims.append(ClaimResult("shift_preserves_cliques", "fail", {"error": str(exc)}))
         return claims
@@ -191,9 +179,7 @@ def _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde) -> list[Claim
         )
     )
 
-    t_cliques = _clique_masks(t)
-    t_by_size = _cliques_by_size(t, d)
-    dom_t = _dominating_numbers(t_cliques, t_by_size)
+    dom_t = dominating_numbers(t)
     bad = next((i for i in range(1, d + 1) if not dom_t[i - 1] <= d_values[i - 1]), None)
     claims.append(
         ClaimResult(
@@ -213,7 +199,7 @@ def _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde) -> list[Claim
         )
     )
 
-    bij = _clique_bijection(g, res, by_size, t_by_size)
+    bij = clique_bijection_check(g, res)
     claims.append(
         ClaimResult("shift_clique_bijection", "pass" if bij.ok else "fail", bij.failure)
     )
@@ -221,7 +207,7 @@ def _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde) -> list[Claim
     labeled = threshold_labeling(t)
     word_order = shifted_vertex_order(res.word)
     vertex_order = tuple(labeled[1][p] for p in word_order)
-    shifted_ok = _is_shifted(t.n, t_cliques, vertex_order)
+    shifted_ok = _is_shifted(t.n, _clique_masks(t), vertex_order)
     claims.append(
         ClaimResult(
             "shift_image_complex_shifted",
@@ -249,8 +235,9 @@ def _threshold_claims(g, word, b, cuts, kappa, d) -> list[ClaimResult]:
     return claims
 
 
-def _complex_claims(g, cliques, b, ktilde, word) -> list[ClaimResult]:
+def _complex_claims(g, b, ktilde, word) -> list[ClaimResult]:
     # The clique complex of g has the maximal cliques as its facets.
+    cliques = _clique_masks(g)
     claims = []
     if len({c.bit_count() for c in cliques}) <= 1:
         tail = b[ktilde:]
@@ -299,11 +286,11 @@ def _is_sds_form(word: str) -> bool:
 def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
     """Run the whole claim suite on one graph; returns a JSON-ready report.
 
-    Each derived object is built once and handed down: the PEO of g, its
-    maximal cliques (one Bron-Kerbosch run) and its cliques by size (one
-    clique walk), and the same two lists for the shifted graph.
+    The claims call the public functions; each derived object (the PEO,
+    the maximal cliques, the cliques by size) is computed once per graph,
+    because those functions keep it on the graph (``once_per_graph``).
     """
-    chordal, peo = is_chordal(g)
+    chordal = is_chordal(g)[0]
     report: dict = {
         "instance": instance_id,
         "n": g.n,
@@ -323,14 +310,12 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
         report["failures"] = 0
         return report
 
-    c = _clique_vector(g, peo)
+    c = clique_vector(g)
     b = b_from_c(c)
     d = len(c)
     kappa = vertex_connectivity(g)
-    cliques = _clique_masks(g)
-    by_size = _cliques_by_size(g, d)
-    ktilde = _kappa_tilde(cliques)
-    d_values = _dominating_numbers(cliques, by_size)
+    ktilde = kappa_tilde(g)
+    d_values = dominating_numbers(g)
     cuts = [cut_component_sum(g, k) for k in range(d)]
     word = recognize_threshold(g)
 
@@ -348,10 +333,10 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
     claims += _bounds_claims(b, cuts, d_values, kappa, ktilde, d)
     claims += _betti_claims(b, c, kappa, d, g.n)
     if g.n >= 2:
-        claims += _shift_claims(g, c, cliques, by_size, d_values, kappa, ktilde)
+        claims += _shift_claims(g, d_values, kappa, ktilde)
     if word is not None:
         claims += _threshold_claims(g, word, b, cuts, kappa, d)
-    claims += _complex_claims(g, cliques, b, ktilde, word)
+    claims += _complex_claims(g, b, ktilde, word)
 
     report["claims"] = [cl.to_dict() for cl in claims]
     report["failures"] = sum(1 for cl in claims if cl.status == "fail")

@@ -6,6 +6,7 @@ that agreement is evidence, not tautology.
 """
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -44,6 +45,27 @@ def corpus500() -> list[Graph]:
 def corpus300() -> list[Graph]:
     """300 random chordal graphs with n <= 9 for the Betti-route tests."""
     return build_random_corpus(max_n=9, trials=300, seed=424243)
+
+
+# -- call counting -------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap every binding of ``module.name`` in the loaded cliquevec modules
+    with a call counter; returns the one-element list holding the count."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "cliquevec" or mod_name.startswith("cliquevec."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 # -- oracles -------------------------------------------------------------

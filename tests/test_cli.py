@@ -9,8 +9,11 @@ import pytest
 
 import cliquevec
 
+import cliquevec.cliques
 from cliquevec import chordal_with_connectivities, format_graph, random_chordal
 from cliquevec.cli import main
+
+from conftest import count_calls
 
 
 @pytest.fixture()
@@ -35,6 +38,25 @@ def test_invariants(bp_file, capsys):
     assert obj["kappa"] == 1 and obj["kappa_tilde"] == 2
     assert obj["theorems_applicable"] is True
     assert obj["schema"] == "cliquevec/1"
+
+
+def test_invariants_and_shift_list_maximal_cliques_once_per_graph(
+    bp_file, corpus_small, tmp_path, capsys, monkeypatch
+):
+    """``invariants`` runs Bron-Kerbosch on the input only; ``shift`` on the
+    input and on its threshold image."""
+    paths = [bp_file]
+    for idx in (0, 7, 31, 64):
+        path = tmp_path / f"corpus-{idx}.graph"
+        path.write_text(format_graph(corpus_small[idx]))
+        paths.append(str(path))
+    bk_calls = count_calls(monkeypatch, cliquevec.cliques, "_bron_kerbosch")
+    for path in paths:
+        for command, runs in (("invariants", 1), ("shift", 2)):
+            bk_calls[0] = 0
+            assert main([command, path]) == 0
+            capsys.readouterr()
+            assert bk_calls[0] == runs, (command, path, bk_calls[0])
 
 
 def test_invariants_non_chordal(tmp_path, capsys):
