@@ -30,11 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cliques import _bron_kerbosch
 from .complexes import CapExceeded, SimplicialComplex, _maximal_masks
-from .graphs import Graph, clique_walk, connected_sets, masked_component_count
+from .graphs import (
+    Graph,
+    _bits,
+    _max_cardinality_search,
+    clique_walk,
+    connected_sets,
+    masked_component_count,
+)
 
 __all__ = [
     "BettiTable",
@@ -236,45 +243,6 @@ def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
     return adj
 
 
-def _flag_dims(adj: Sequence[int], w: int, table: list, face_cap: int) -> tuple[int, ...]:
-    """Reduced homology dims of the clique complex of G[w].
-
-    v is dominated by a neighbor u when N[v] is inside N[u] within w.
-    Deleting v is a strong collapse, which keeps the homotopy type, so
-    G[w] has the dims of G[w - v], read from ``table`` (indexed by vertex
-    mask); a missing entry is worked out and stored, at most n levels deep.
-    Only a core, with no dominated vertex, is worked out from scratch: its
-    faces are the cliques of G[w], listed once each by :func:`clique_walk`,
-    and the rank of its edge boundary comes from the component count of
-    G[w].
-    """
-    has_edge = False
-    t = w
-    while t:
-        b = t & -t
-        t ^= b
-        nv = adj[b.bit_length() - 1] & w
-        if not nv:
-            continue
-        has_edge = True
-        closed = nv | b
-        s = nv
-        while s:
-            c = s & -s
-            s ^= c
-            # N[v] lies in N[u] when u is the only member outside N(u)
-            if closed & ~adj[c.bit_length() - 1] == c:
-                dims = table[w ^ b]
-                if dims is None:
-                    dims = table[w ^ b] = _flag_dims(adj, w ^ b, table, face_cap)
-                return dims
-    if has_edge:
-        by_dim = _faces_by_dim(clique_walk(adj, w, w.bit_count()), face_cap)
-        return _homology_dims(by_dim, masked_component_count(adj, w))
-    k = w.bit_count()  # k isolated points: only H~_0, of rank k - 1
-    return (0, k - 1) if k else (1,)  # W empty: only H~_-1
-
-
 def _hochster_scan(
     facet_masks: Sequence[int],
     adj: Sequence[int] | None,
@@ -284,21 +252,31 @@ def _hochster_scan(
 ) -> dict:
     """Hochster contributions of the vertex subsets with masks in [lo, hi).
 
-    With ``adj`` (flag input) the dims of each restriction come from
-    :func:`_flag_dims` over a table of ``hi`` list slots, one per mask
-    (about 8 MB at n = 20), so each W costs one domination search and each
-    core mask's homology is computed once per scan, from its cliques.
-    Masks below ``lo`` are filled on demand.  Without ``adj`` the facets
-    are restricted and re-maximalized, and the faces of a restriction are
-    the subsets of its facets.
+    With ``adj`` (flag input) the reduced homology dims of each G[W] are
+    kept in a table of ``hi`` list slots, one per mask, as the small-int id
+    of an interned dims tuple (0 while unknown); counts are kept per
+    (|W|, id) and expanded into Betti entries once at the end.  W is
+    visited as its lowest vertex b plus ``rest = W - b``, grouped by b from
+    the top vertex down, so the entry of ``rest`` is known when W comes up:
+
+    - b has no neighbour in W: G[W] is G[rest] plus an isolated point;
+    - b is dominated by its lowest neighbour c in W (N[b] within N[c] in
+      G[W]): deleting b is a strong collapse, which keeps the homotopy
+      type, so W takes the entry of ``rest``; one mask test;
+    - otherwise :func:`_fill` runs the full domination search over every
+      vertex of W, and only a core, with no dominated vertex, has its
+      homology worked out, once per scan.
+
+    Under a perfect elimination ordering the lowest vertex of every W is
+    simplicial in G[W], so chordal input labelled that way never gets past
+    the mask test; nothing here assumes it.  Masks below ``lo`` are filled
+    on demand, at most n levels deep.  Without ``adj`` the facets are
+    restricted and re-maximalized, and the faces of a restriction are the
+    subsets of its facets.
     """
     entries: dict = {}
-    table: list = [None] * hi if adj is not None else []
-    for wmask in range(lo, hi):
-        j = wmask.bit_count()
-        if adj is not None:
-            dims = table[wmask] = _flag_dims(adj, wmask, table, face_cap)
-        else:
+    if adj is None:
+        for wmask in range(lo, hi):
             sub = _maximal_masks(fm & wmask for fm in facet_masks)
             if sub:
                 common = sub[0]
@@ -310,12 +288,107 @@ def _hochster_scan(
                 dims = _homology_dims(by_dim, _component_count(sub))
             else:
                 dims = (1,)  # restriction is the empty complex
-        for kk, h in enumerate(dims):
-            if h:
-                k = kk - 1
-                key = (j - k - 1, j)
-                entries[key] = entries.get(key, 0) + h
+            _add_dims(entries, dims, wmask.bit_count(), 1)
+        return entries
+
+    n = len(adj)
+    ids: dict[tuple[int, ...], int] = {}
+    dims_of: list[tuple[int, ...]] = [()]  # id 0: not yet known
+    plus_point = [0]  # id -> id of the same complex plus an isolated point
+    counts: list[list[int]] = [[]]  # id -> number of W of each size
+
+    def intern(dims: tuple[int, ...]) -> int:
+        t = ids.get(dims)
+        if t is None:
+            t = ids[dims] = len(dims_of)
+            dims_of.append(dims)
+            plus_point.append(0)
+            counts.append([0] * (n + 1))
+        return t
+
+    def add_point(t: int) -> int:
+        dims = dims_of[t]
+        # the empty complex becomes a point; otherwise H~_0 goes up by one
+        p = plus_point[t] = intern((0, dims[1] + 1, *dims[2:]) if len(dims) > 1 else (0, 0))
+        return p
+
+    table = [0] * hi
+    table[0] = intern((1,))
+    if lo == 0 < hi:
+        counts[table[0]][0] += 1
+    for v in reversed(range(n)):
+        b = 1 << v
+        nb = adj[v]
+        step = b << 1
+        first = max(0, -((b - lo) // step) * step)  # first rest with W >= lo
+        for rest in range(first, hi - b, step):
+            t = table[rest] or _fill(adj, rest, table, intern, face_cap)
+            nv = nb & rest
+            if not nv:
+                t = plus_point[t] or add_point(t)
+            else:
+                c = nv & -nv
+                if (nv | b) & ~adj[c.bit_length() - 1] != c:
+                    t = _fill(adj, rest | b, table, intern, face_cap)
+            table[rest | b] = t
+            counts[t][rest.bit_count() + 1] += 1
+    for dims, row in zip(dims_of, counts):
+        for j, count in enumerate(row):
+            if count:
+                _add_dims(entries, dims, j, count)
     return entries
+
+
+def _fill(
+    adj: Sequence[int], w: int, table: list[int], intern: Callable, face_cap: int
+) -> int:
+    """Id of the reduced homology dims of the clique complex of G[w], worked
+    out with the full domination search, stored in ``table[w]``.
+
+    v is dominated by a neighbour u when N[v] lies in N[u] within w;
+    G[w] then has the dims of G[w - v], read from ``table`` or worked out
+    the same way, at most n levels deep.  Only a core, with no dominated
+    vertex, is worked out from scratch: its faces are the cliques of G[w],
+    listed once each by :func:`clique_walk`, and the rank of its edge
+    boundary comes from the component count of G[w].  ``intern`` maps a
+    dims tuple to its id.
+    """
+    has_edge = False
+    r = w
+    while r:
+        b = r & -r
+        r ^= b
+        nv = adj[b.bit_length() - 1] & w
+        if not nv:
+            continue
+        has_edge = True
+        closed = nv | b
+        s = nv
+        while s:
+            c = s & -s
+            s ^= c
+            # N[v] lies in N[u] when u is the only member outside N(u)
+            if closed & ~adj[c.bit_length() - 1] == c:
+                t = table[w] = table[w ^ b] or _fill(adj, w ^ b, table, intern, face_cap)
+                return t
+    if has_edge:
+        by_dim = _faces_by_dim(clique_walk(adj, w, w.bit_count()), face_cap)
+        dims = _homology_dims(by_dim, masked_component_count(adj, w))
+    else:
+        k = w.bit_count()  # k isolated points: only H~_0, of rank k - 1
+        dims = (0, k - 1) if k else (1,)  # W empty: only H~_-1
+    t = table[w] = intern(dims)
+    return t
+
+
+def _add_dims(entries: dict, dims: Sequence[int], j: int, count: int) -> None:
+    """Add the Hochster contributions of ``count`` subsets W of size ``j``
+    whose restrictions have reduced homology ``dims``: ``dim H~_k`` goes to
+    ``beta_{j-k-1, j}``."""
+    for kk, h in enumerate(dims):
+        if h:
+            key = (j - kk, j)
+            entries[key] = entries.get(key, 0) + h * count
 
 
 def _check_vertex_cap(n: int, vertex_cap: int) -> None:
@@ -338,20 +411,26 @@ def full_betti_hochster(
     Q.  Cost is exponential in n, hence the vertex cap.
 
     The path follows the input.  When ``cx`` is flag (a clique complex, as
-    from :func:`clique_complex`), one scan fills a table of reduced homology
-    indexed by vertex mask, 2^n list slots (about 8 MB at n = 20).  A W
-    whose G[W] has a dominated vertex v takes the entry of W - v, since
-    deleting v keeps the homotopy type; so cones and connected chordal
-    restrictions end at a single point and contribute nothing.  Only a
-    core, with no dominated vertex, is worked out: an edgeless core of k
-    vertices adds k - 1 at (|W|-1, |W|), and any other core has its
-    cliques, each listed once, passed to the homology engine, once per
-    scan.  Other complexes (ghost vertices, complex files) take the facet
-    path: restrict the facets to W, keep the maximal ones, skip cones and
-    take the faces as subsets of the facets.  ``face_cap`` applies to each
-    restriction the engine sees, the core on the flag path; a restriction
-    to at most 14 vertices has at most 16,383 faces, so the default cap
-    cannot fire there on either path.
+    from :func:`clique_complex`), its 1-skeleton G is first relabelled by
+    one maximum cardinality search, so that the vertex eliminated first is
+    vertex 0; the table does not depend on the labels.  One scan then
+    fills a table indexed by vertex mask, 2^n list slots (about 8 MB at
+    n = 20), each holding the small-int id of an interned reduced homology
+    tuple.  Each W is its lowest vertex b plus W - b: an isolated b adds a
+    point to the complex of W - b, and a b dominated by its lowest
+    neighbour in W takes the entry of W - b, since deleting a dominated
+    vertex keeps the homotopy type.  On chordal input the relabelling
+    makes b simplicial in G[W], so every W ends on that one mask test, and
+    cones and connected chordal restrictions contribute nothing.  Any other
+    W gets the full domination search, and only a core, with no dominated
+    vertex, has its cliques, each listed once, passed to the homology
+    engine, once per scan.  Counts are kept per (|W|, id) and expanded
+    into the table once at the end.  Other complexes (ghost vertices,
+    complex files) take the facet path: restrict the facets to W, keep the
+    maximal ones, skip cones and take the faces as subsets of the facets.
+    ``face_cap`` applies to each restriction the engine sees, the core on
+    the flag path; a restriction to at most 14 vertices has at most 16,383
+    faces, so the default cap cannot fire there on either path.
 
     With ``jobs > 1`` the subset range is split into contiguous blocks whose
     partial tables are merged in fixed order; each block keeps its own
@@ -362,6 +441,13 @@ def full_betti_hochster(
     _check_vertex_cap(n, vertex_cap)
     facet_masks = [sum(1 << v for v in f) for f in cx.facets]
     adj = _flag_adjacency(facet_masks, n)
+    if adj is not None:
+        # relabel so that position p of an elimination order becomes vertex p
+        order = _max_cardinality_search(adj)
+        pos = [0] * n
+        for p, v in enumerate(order):
+            pos[v] = p
+        adj = [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
     total = 1 << n
     if jobs <= 1 or total < 64:
         entries = _hochster_scan(facet_masks, adj, 0, total, face_cap)
@@ -461,12 +547,11 @@ def betti_from_bvector(b: Sequence[int], n_vars: int, d: int) -> tuple[int, ...]
     if n_vars < d:
         raise ValueError("need n_vars >= d")
 
-    def c_ext(j: int) -> int:
-        if j == 0:
-            return 1
-        if j > d:
-            return 0
-        return sum(_comb0(k - 1, k - j) * b[k - 1] for k in range(j, d + 1))
+    # c_ext[j] for j = 0..d; the count is 0 past the clique number d
+    c_ext = [1, *(
+        sum(_comb0(k - 1, k - j) * b[k - 1] for k in range(j, d + 1))
+        for j in range(1, d + 1)
+    )]
 
     out = [0] * (n_vars + 1)
     out[0] = 1
@@ -476,8 +561,8 @@ def betti_from_bvector(b: Sequence[int], n_vars: int, d: int) -> tuple[int, ...]
         for ell in range(2 + i + 1):
             m = 2 + i - ell
             inner = sum(
-                (-1) ** (m - j) * _comb0(d - j, m - j) * c_ext(j)
-                for j in range(m + 1)
+                (-1) ** (m - j) * _comb0(d - j, m - j) * c_ext[j]
+                for j in range(min(m, d) + 1)
             )
             acc += (-1) ** (ell + i + 1) * inner * _comb0(n_vars - d, ell)
         out[ridx] = acc

@@ -11,6 +11,7 @@ exceeded, 5 claim failure in verify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -295,7 +296,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call of :func:`main` reads its own argv."""
     parser = argparse.ArgumentParser(
         prog="cliquevec",
         description="b-vectors, clique structure and Betti numbers of chordal graphs",
@@ -347,8 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

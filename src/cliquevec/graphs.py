@@ -77,6 +77,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
 
+    def __reduce__(self):
+        # rebuilt from (n, edges), so a copy or an unpickled graph starts
+        # with an empty memo
+        return type(self), (self.n, self.edges())
+
     # -- basic accessors -------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -292,23 +297,20 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return Graph(len(old_ids), edges), tuple(old_ids)
 
 
-def _max_cardinality_search(g: Graph) -> list[int]:
-    """Maximum cardinality search, smaller ids first on ties; returns the
-    reverse visit order (position 0 is eliminated first)."""
-    n = g.n
+def _max_cardinality_search(masks: Sequence[int]) -> list[int]:
+    """Maximum cardinality search over the graph with adjacency bitmasks
+    ``masks``, smaller ids first on ties; returns the reverse visit order
+    (position 0 is eliminated first)."""
+    n = len(masks)
     weight = [0] * n
-    visited = [False] * n
+    unvisited = (1 << n) - 1
     visit: list[int] = []
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if not visited[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        visited[v] = True
+        v = max(_bits(unvisited), key=lambda u: (weight[u], -u))
+        unvisited ^= 1 << v
         visit.append(v)
-        for u in g.adj[v]:
-            if not visited[u]:
-                weight[u] += 1
+        for u in _bits(masks[v] & unvisited):
+            weight[u] += 1
     return visit[::-1]
 
 
@@ -325,7 +327,7 @@ def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
     n = g.n
     if n == 0:
         return True, Peo(())
-    order = _max_cardinality_search(g)
+    order = _max_cardinality_search(g._masks)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cliquevec import (
     h_from_f,
     homological_profile,
     linear_strand_hochster,
+    random_chordal,
     reduced_homology_ranks,
     vertex_connectivity,
 )
@@ -411,3 +413,56 @@ def test_hochster_table_invariant_under_relabeling(pair):
 def test_strand_invariant_under_relabeling(pair):
     g, h = pair
     assert linear_strand_hochster(g) == linear_strand_hochster(h)
+
+
+def test_edgeless_graphs_take_the_isolated_point_path(monkeypatch):
+    # k isolated points: H~_0 of rank |W| - 1 on every W, nothing else, and
+    # no restriction ever reaches the clique walk or the homology engine
+    def refuse(*args):
+        raise AssertionError("edgeless input reached the core route")
+
+    monkeypatch.setattr(betti, "clique_walk", refuse)
+    monkeypatch.setattr(betti, "_homology_dims", refuse)
+    for k in range(11):
+        want = {(0, 0): 1}
+        want.update({(j - 1, j): comb(k, j) * (j - 1) for j in range(2, k + 1)})
+        assert table_of(Graph(k)).entries == want, k
+
+
+def with_isolated(g, extra):
+    """``g`` plus ``extra`` isolated vertices, spread among its labels."""
+    n = g.n + extra
+    rng = random.Random(n * 31 + extra)
+    new = rng.sample(range(n), g.n)
+    return Graph(n, [(new[u], new[v]) for u, v in g.edges()])
+
+
+def test_isolated_vertices_flag_facet_and_block_paths_agree():
+    for s in range(24):
+        g = with_isolated(gnp(5 + s % 5, (0.3, 0.45, 0.6)[s % 3], 300 + s), 1 + s % 3)
+        masks = masks_of(clique_complex(g))
+        adj = _flag_adjacency(masks, g.n)
+        assert adj is not None
+        total = 1 << g.n
+        flag = _hochster_scan(masks, adj, 0, total, DEFAULT_FACE_CAP)
+        assert flag == _hochster_scan(masks, None, 0, total, DEFAULT_FACE_CAP)
+        if s % 4 == 0:
+            assert table_of(g, vertex_cap=12, jobs=2).entries == table_of(g, vertex_cap=12).entries
+
+
+def test_chordal_table_independent_of_labelling():
+    # The scan relabels by elimination order; the raw scans below get the
+    # reversed and shuffled labels as they are, so their lowest vertices
+    # are often not simplicial and the full domination search runs.
+    for seed in range(12):
+        g = random_chordal(7 + seed % 5, 2 + seed % 3, seed)
+        n = g.n
+        rng = random.Random(seed)
+        shuffled = rng.sample(range(n), n)
+        want = table_of(g, vertex_cap=12).entries
+        for perm in (list(range(n - 1, -1, -1)), shuffled):
+            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert table_of(h, vertex_cap=12).entries == want
+            masks = masks_of(clique_complex(h))
+            raw = _hochster_scan(masks, list(h._masks), 0, 1 << n, DEFAULT_FACE_CAP)
+            assert raw == want

@@ -211,6 +211,32 @@ def test_betti_strand_connected_set_cap(tmp_path):
     assert proc.stderr == "error: linear strand capped at 1048576 connected induced sets\n"
 
 
+def test_one_parser_serves_successive_calls(bp_file, c5_file, capfd):
+    """``betti``, ``invariants`` and ``betti`` again with other flags, in one
+    process, print exactly what fresh processes print, and no flag or
+    default carries over from one call to the next."""
+    calls = [
+        ["betti", bp_file, "--method", "hochster", "--cap", "7", "--jobs", "2"],
+        ["invariants", c5_file],
+        ["betti", bp_file],
+        ["betti", c5_file, "--method", "strand"],
+        ["betti", bp_file, "--method", "hochster", "--cap", "6"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquevec.__file__).parents[1]))
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cliquevec.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code = main(argv)
+        out, err = capfd.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    # the last call exits 4 on the cap it was given, not on an earlier one
+    assert code == 4 and err == "error: Hochster brute force capped at 6 vertices\n"
+    args = cliquevec.cli._build_parser().parse_args(["betti", "-"])
+    assert (args.method, args.cap, args.jobs, args.complex) == ("all", 10, 1, False)
+
+
 def test_oversized_header_is_an_input_error(tmp_path, capsys):
     huge = tmp_path / "huge.graph"
     huge.write_text("1000000000 0\n")

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import combinations
 
@@ -41,6 +43,20 @@ def test_graph_basics():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+
+
+def test_graph_copies_and_pickles_with_an_empty_memo(bp12):
+    g = Graph(bp12.n, bp12.edges())
+    is_chordal(g)
+    cliques_of_size(g, 2)
+    assert g._memo
+    for dup in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert dup == g and hash(dup) == hash(g)
+        assert dup is not g
+        assert dup._memo == {}
+        assert dup.edges() == g.edges()
+        assert is_chordal(dup) == is_chordal(g)
+    assert pickle.loads(pickle.dumps(Graph(0))) == Graph(0)
 
 
 def test_components_examples(bp12):
