@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cliques import _bron_kerbosch
-from .complexes import CapExceeded, SimplicialComplex, _maximal_masks
+from .complexes import CapExceeded, SimplicialComplex, _facet_faces, _maximal_masks
 from .graphs import (
     Graph,
     _bits,
@@ -54,26 +54,13 @@ __all__ = [
     "homological_profile",
 ]
 
-DEFAULT_VERTEX_CAP = 10
+DEFAULT_VERTEX_CAP = 16
 DEFAULT_FACE_CAP = 1 << 14
 CONNECTED_SET_CAP = 1 << 20
 
 
 def _comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
-
-
-def _facet_faces(facet_masks: Sequence[int]) -> Iterator[int]:
-    """Each nonempty face of the complex with these facets, once: the
-    subsets of every facet, less those an earlier facet gave."""
-    seen: set[int] = set()
-    for fm in facet_masks:
-        sub = fm
-        while sub:
-            if sub not in seen:
-                seen.add(sub)
-                yield sub
-            sub = (sub - 1) & fm
 
 
 def _faces_by_dim(faces: Iterable[int], face_cap: int) -> list[list[int]]:
@@ -184,9 +171,8 @@ def reduced_homology_ranks(
     The empty complex gives ``(1,)`` (only H~_-1).  Raises
     :class:`CapExceeded` when the total face count exceeds ``face_cap``.
     """
-    facet_masks = [sum(1 << v for v in f) for f in cx.facets]
-    by_dim = _faces_by_dim(_facet_faces(facet_masks), face_cap)
-    return _homology_dims(by_dim, _component_count(facet_masks))
+    by_dim = _faces_by_dim(_facet_faces(cx._masks), face_cap)
+    return _homology_dims(by_dim, _component_count(cx._masks))
 
 
 @dataclass(frozen=True)
@@ -397,12 +383,14 @@ def _check_vertex_cap(n: int, vertex_cap: int) -> None:
 
 
 def full_betti_hochster(
-    cx: SimplicialComplex,
+    cx: SimplicialComplex | Graph,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     face_cap: int = DEFAULT_FACE_CAP,
     jobs: int = 1,
 ) -> BettiTable:
     """Full graded Betti table of R/I_cx by brute-force Hochster sums.
+
+    ``cx`` is a complex, or a graph standing for its clique complex.
 
     For every vertex subset W the reduced (co)homology of the restriction
     contributes ``dim H~_(|W|-i-2)`` to ``beta_{i+1,|W|}``; over a field of
@@ -410,10 +398,11 @@ def full_betti_hochster(
     homology engine above is used directly, with boundary ranks exact over
     Q.  Cost is exponential in n, hence the vertex cap.
 
-    The path follows the input.  When ``cx`` is flag (a clique complex, as
-    from :func:`clique_complex`), its 1-skeleton G is first relabelled by
-    one maximum cardinality search, so that the vertex eliminated first is
-    vertex 0; the table does not depend on the labels.  One scan then
+    The path follows the input.  When ``cx`` is a graph G, or a flag
+    complex (the clique complex of its 1-skeleton G, checked by listing
+    the maximal cliques of G), G is first relabelled by one maximum
+    cardinality search, so that the vertex eliminated first is vertex 0;
+    the table does not depend on the labels.  One scan then
     fills a table indexed by vertex mask, 2^n list slots (about 8 MB at
     n = 20), each holding the small-int id of an interned reduced homology
     tuple.  Each W is its lowest vertex b plus W - b: an isolated b adds a
@@ -429,8 +418,8 @@ def full_betti_hochster(
     complex files) take the facet path: restrict the facets to W, keep the
     maximal ones, skip cones and take the faces as subsets of the facets.
     ``face_cap`` applies to each restriction the engine sees, the core on
-    the flag path; a restriction to at most 14 vertices has at most 16,383
-    faces, so the default cap cannot fire there on either path.
+    the flag path.  Restrictions to at most 14 vertices have at most 16,383
+    faces, so the default cap can fire only from 15 vertices on.
 
     With ``jobs > 1`` the subset range is split into contiguous blocks whose
     partial tables are merged in fixed order; each block keeps its own
@@ -439,8 +428,11 @@ def full_betti_hochster(
     """
     n = cx.n
     _check_vertex_cap(n, vertex_cap)
-    facet_masks = [sum(1 << v for v in f) for f in cx.facets]
-    adj = _flag_adjacency(facet_masks, n)
+    if isinstance(cx, Graph):
+        facet_masks, adj = (), cx._masks
+    else:
+        facet_masks = cx._masks
+        adj = _flag_adjacency(facet_masks, n)
     if adj is not None:
         # relabel so that position p of an elimination order becomes vertex p
         order = _max_cardinality_search(adj)
@@ -587,8 +579,8 @@ class HomologicalProfile:
 
 def homological_profile(source) -> HomologicalProfile:
     """Projective dimension, depth, 2-linearity and the connectivity read
-    off the linear strand.  ``source`` is a Betti table or a complex (in
-    which case the table is computed first, caps applying).
+    off the linear strand.  ``source`` is a Betti table, or a complex or a
+    graph (in which case the table is computed first, caps applying).
 
     ``kappa_from_betti`` is the largest k such that the strand vanishes at
     every homological index >= n - k; for a complete graph's complex the

@@ -17,6 +17,7 @@ import random
 import sys
 
 from .betti import (
+    DEFAULT_VERTEX_CAP,
     _check_vertex_cap,
     betti_from_bvector,
     betti_from_hvector,
@@ -25,7 +26,7 @@ from .betti import (
     linear_strand_hochster,
 )
 from .cliques import clique_vector, dominating_numbers, kappa_tilde, maximal_cliques
-from .complexes import CapExceeded, clique_complex, parse_complex
+from .complexes import CapExceeded, parse_complex
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -228,7 +229,7 @@ def cmd_betti(args) -> int:
 
     results: dict = {}
     if "hochster" in methods:
-        table = full_betti_hochster(clique_complex(g), vertex_cap=args.cap, jobs=args.jobs)
+        table = full_betti_hochster(g, vertex_cap=args.cap, jobs=args.jobs)
         results["hochster"] = table.to_json_dict()
         out["profile"] = homological_profile(table).to_dict()
     if "hvector" in methods:
@@ -326,7 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["hochster", "hvector", "bvector", "strand", "all"],
         default="all",
     )
-    p.add_argument("--cap", type=int, default=10, help="vertex cap for the Hochster scan")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap for the Hochster scan"
+    )
     p.add_argument("--complex", action="store_true", help="input is a complex file")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_betti)

@@ -41,8 +41,11 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
         raise ValueError("clique vector undefined for the empty graph")
     peo = is_chordal(g)[1]
     if peo is not None:
-        pos = peo.inverse
-        degs = [sum(1 for u in g.adj[v] if pos[u] > pos[v]) for v in range(g.n)]
+        degs = []
+        later = 0  # the vertices after v in the PEO
+        for v in reversed(peo.order):
+            degs.append((g._masks[v] & later).bit_count())
+            later |= 1 << v
         d = 1 + max(degs)
         return tuple(
             sum(comb(ns, i - 1) for ns in degs) for i in range(1, d + 1)
@@ -56,8 +59,13 @@ def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     """All cliques with exactly ``size`` vertices, in lexicographic order."""
     if size < 1:
         raise ValueError("size must be positive")
-    by_size = _cliques_by_size(g)
-    return [_mask_to_set(c) for c in by_size[size]] if size < len(by_size) else []
+    return [_mask_to_set(c) for c in _k_cliques(g, size)]
+
+
+def _k_cliques(g: Graph, k: int) -> list[int]:
+    """The k-cliques of ``g`` as bitmasks in lexicographic order, from a
+    :func:`clique_walk` that stops at size k."""
+    return [c for c in clique_walk(g._masks, (1 << g.n) - 1, k) if c.bit_count() == k]
 
 
 @once_per_graph
@@ -141,11 +149,7 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 def kappa_tilde(g: Graph) -> int:
     """Maximum cardinality of the intersection of two distinct maximal
     cliques; 0 when there are fewer than two maximal cliques."""
-    return _kappa_tilde(_clique_masks(g))
-
-
-def _kappa_tilde(cliques: list[int]) -> int:
-    """:func:`kappa_tilde` from the maximal-clique bitmasks."""
+    cliques = _clique_masks(g)
     if len(cliques) < 2:
         return 0
     return max((a & b).bit_count() for a, b in combinations(cliques, 2))
@@ -244,7 +248,7 @@ def dominating_number(
     d = max(c.bit_count() for c in cliques)
     if not 1 <= i <= d:
         raise ValueError(f"i={i} out of range 1..{d}")
-    size, chosen = _dominating_cover(cliques, _cliques_by_size(g)[i], i, strict)
+    size, chosen = _dominating_cover(cliques, _k_cliques(g, i), i, strict)
     return size, [_mask_to_set(c) for c in chosen]
 
 

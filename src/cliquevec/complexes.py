@@ -1,21 +1,22 @@
 """Simplicial complexes stored by facets, plus the predicates (shifted,
 pure, matroid) and the Stanley-Reisner generators (minimal non-faces).
 
-A complex on ``{0..n-1}`` is an antichain of facets; faces are implicit
-(membership = subset of some facet), which keeps desk-scale computations
-cheap and avoids materializing 2^n faces except where an operation truly
-needs them.  ``facets == ()`` denotes the empty complex {emptyset} (the
-void complex is not representable).  Vertices outside every facet are
-ghosts: they count toward ``n`` but carry no faces.
+A complex on ``{0..n-1}`` is an antichain of facets, stored only as
+vertex bitmasks; faces are implicit (membership = submask of some facet),
+which keeps desk-scale computations cheap and avoids materializing 2^n
+faces except where an operation truly needs them.  ``facets == ()``
+denotes the empty complex {emptyset} (the void complex is not
+representable).  Vertices outside every facet are ghosts: they count
+toward ``n`` but carry no faces.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphFormatError, _bits
-from .cliques import maximal_cliques
+from .cliques import _clique_masks
 
 __all__ = [
     "SimplicialComplex",
@@ -45,50 +46,64 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _maximalize(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    # The caller's first object per set is kept, so facet iteration order
-    # (and hence repr) does not depend on how the set was rebuilt.
-    by_mask: dict[int, frozenset[int]] = {}
-    for s in sets:
-        by_mask.setdefault(sum(1 << v for v in s), s)
-    kept = [by_mask[m] for m in _maximal_masks(by_mask)]
-    return tuple(sorted(kept, key=sorted))
+def _facet_faces(facet_masks: Sequence[int]) -> Iterator[int]:
+    """Each nonempty face of the complex with these facets, once: the
+    subsets of every facet, less those an earlier facet gave."""
+    seen: set[int] = set()
+    for fm in facet_masks:
+        sub = fm
+        while sub:
+            if sub not in seen:
+                seen.add(sub)
+                yield sub
+            sub = (sub - 1) & fm
 
 
 class SimplicialComplex:
-    """Immutable facet-list complex on vertices ``0..n-1``."""
+    """Immutable facet-list complex on vertices ``0..n-1``.
 
-    __slots__ = ("n", "facets")
+    ``_masks`` holds the facets as vertex bitmasks, in lexicographic order
+    of their sorted vertex lists; it is the only stored form of the
+    facets, and :attr:`facets` is a view derived from it.
+    """
+
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, facets: Iterable[Iterable[int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        fs = [frozenset(f) for f in facets]
-        for f in fs:
-            if f and (min(f) < 0 or max(f) >= n):
-                raise ValueError(f"facet {sorted(f)} out of range for n={n}")
+        masks = []
+        for f in facets:
+            f = sorted(set(f))
+            if f and (f[0] < 0 or f[-1] >= n):
+                raise ValueError(f"facet {f} out of range for n={n}")
+            masks.append(sum(1 << v for v in f))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets", _maximalize(fs))
+        object.__setattr__(self, "_masks", tuple(sorted(_maximal_masks(masks), key=_bits)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex instances are immutable")
+
+    @property
+    def facets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(m)) for m in self._masks)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimplicialComplex)
             and self.n == other.n
-            and self.facets == other.facets
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.facets))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex(n={self.n}, facets={[sorted(f) for f in self.facets]})"
+        return f"SimplicialComplex(n={self.n}, facets={[_bits(m) for m in self._masks]})"
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max((m.bit_count() for m in self._masks), default=0) - 1
 
     def is_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
@@ -96,11 +111,7 @@ class SimplicialComplex:
 
     def faces(self, include_empty: bool = False) -> set[frozenset[int]]:
         """All faces.  Exponential in the largest facet; desk scale only."""
-        out: set[frozenset[int]] = set()
-        for facet in self.facets:
-            members = sorted(facet)
-            for r in range(1, len(members) + 1):
-                out.update(frozenset(c) for c in combinations(members, r))
+        out = {frozenset(_bits(m)) for m in _facet_faces(self._masks)}
         if include_empty:
             out.add(frozenset())
         return out
@@ -108,27 +119,37 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """``(f_-1, f_0, ..., f_(dim))`` with ``f_-1 = 1``."""
         counts = [0] * (self.dim + 1)
-        for face in self.faces():
-            counts[len(face) - 1] += 1
+        for m in _facet_faces(self._masks):
+            counts[m.bit_count() - 1] += 1
         return (1, *counts)
+
+
+def _from_masks(n: int, facet_masks: Iterable[int]) -> SimplicialComplex:
+    """The complex on ``n`` vertices with the facets ``facet_masks``: in
+    range, nonzero, distinct and inclusion-maximal, none of which is
+    checked."""
+    cx = object.__new__(SimplicialComplex)
+    object.__setattr__(cx, "n", n)
+    object.__setattr__(cx, "_masks", tuple(sorted(facet_masks, key=_bits)))
+    return cx
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
     """Facets are the maximal cliques; every vertex is a face."""
-    return SimplicialComplex(g.n, maximal_cliques(g))
+    return _from_masks(g.n, _clique_masks(g))
 
 
 def skeleton(cx: SimplicialComplex, t: int) -> SimplicialComplex:
     """Faces of dimension <= t."""
     if t < 0:
         raise ValueError("skeleton dimension must be nonnegative")
-    out: list[frozenset[int]] = []
-    for f in cx.facets:
-        if len(f) - 1 <= t:
-            out.append(f)
+    out: list[int] = []
+    for fm in cx._masks:
+        if fm.bit_count() <= t + 1:
+            out.append(fm)
         else:
-            out.extend(frozenset(c) for c in combinations(sorted(f), t + 1))
-    return SimplicialComplex(cx.n, out)
+            out.extend(map(sum, combinations([1 << v for v in _bits(fm)], t + 1)))
+    return _from_masks(cx.n, _maximal_masks(out))
 
 
 def restrict(cx: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -136,7 +157,8 @@ def restrict(cx: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComple
     w = frozenset(vertices)
     if w and (min(w) < 0 or max(w) >= cx.n):
         raise ValueError("restriction set out of range")
-    return SimplicialComplex(cx.n, (f & w for f in cx.facets))
+    wmask = sum(1 << v for v in w)
+    return _from_masks(cx.n, _maximal_masks(fm & wmask for fm in cx._masks))
 
 
 def minimal_nonfaces(
@@ -150,15 +172,15 @@ def minimal_nonfaces(
     """
     if cx.n > vertex_cap:
         raise CapExceeded(f"minimal_nonfaces capped at {vertex_cap} vertices")
-    found: list[frozenset[int]] = []
+    found: list[int] = []
     for size in range(1, cx.n + 1):
-        for sub in combinations(range(cx.n), size):
-            s = frozenset(sub)
-            if any(nf <= s for nf in found):
+        for sub in combinations([1 << v for v in range(cx.n)], size):
+            s = sum(sub)
+            if any(not nf & ~s for nf in found):
                 continue
-            if not cx.is_face(s):
+            if all(s & ~fm for fm in cx._masks):
                 found.append(s)
-    return sorted(found, key=sorted)
+    return [frozenset(_bits(m)) for m in sorted(found, key=_bits)]
 
 
 def is_shifted(cx: SimplicialComplex, order: Sequence[int]) -> bool:
@@ -167,13 +189,6 @@ def is_shifted(cx: SimplicialComplex, order: Sequence[int]) -> bool:
     ``order`` lists the vertices by ascending rank.  The complex is shifted
     when for every face, swapping any member for a higher-ranked non-member
     again gives a face.
-    """
-    return _is_shifted(cx.n, [sum(1 << v for v in f) for f in cx.facets], order)
-
-
-def _is_shifted(n: int, facets: Iterable[int], order: Sequence[int]) -> bool:
-    """:func:`is_shifted` of the complex on ``n`` vertices with the facet
-    bitmasks ``facets``.
 
     Faces are bitmasks over ranks, so a higher bit is a higher-ranked
     vertex.  It is enough to swap each member for the lowest-ranked
@@ -181,14 +196,15 @@ def _is_shifted(n: int, facets: Iterable[int], order: Sequence[int]) -> bool:
     member for any higher non-member is a chain of such swaps, each from a
     face to a face.
     """
+    n = cx.n
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
     rank_bit = [0] * n
     for r, v in enumerate(order):
         rank_bit[v] = 1 << r
     faces = {0}
-    for f in facets:
-        top = sum(rank_bit[v] for v in _bits(f))
+    for fm in cx._masks:
+        top = sum(rank_bit[v] for v in _bits(fm))
         sub = top
         while sub:
             faces.add(sub)
@@ -207,23 +223,16 @@ def _is_shifted(n: int, facets: Iterable[int], order: Sequence[int]) -> bool:
 
 def is_pure(cx: SimplicialComplex) -> bool:
     """All facets of the same cardinality (vacuously true when empty)."""
-    sizes = {len(f) for f in cx.facets}
-    return len(sizes) <= 1
+    return len({m.bit_count() for m in cx._masks}) <= 1
 
 
 def is_matroid(cx: SimplicialComplex, vertex_cap: int = 16) -> bool:
     """Pure, and pure after deleting every vertex subset (brute force)."""
     if cx.n > vertex_cap:
         raise CapExceeded(f"matroid check capped at {vertex_cap} vertices")
-    return _is_matroid(cx.n, [sum(1 << v for v in f) for f in cx.facets])
-
-
-def _is_matroid(n: int, facet_masks: list[int]) -> bool:
-    """:func:`is_matroid` of the complex on ``n`` vertices with the facet
-    bitmasks ``facet_masks``, past the vertex cap."""
-    for smask in range(1 << n):
+    for smask in range(1 << cx.n):
         keep = ~smask
-        sizes = {m.bit_count() for m in _maximal_masks(fm & keep for fm in facet_masks)}
+        sizes = {m.bit_count() for m in _maximal_masks(fm & keep for fm in cx._masks)}
         if len(sizes) > 1:
             return False
     return True
@@ -258,5 +267,5 @@ def parse_complex(text: str) -> SimplicialComplex:
 
 def format_complex(cx: SimplicialComplex) -> str:
     lines = [str(cx.n)]
-    lines += [" ".join(map(str, sorted(f))) for f in cx.facets]
+    lines += [" ".join(map(str, _bits(m))) for m in cx._masks]
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Core graph type and the structural primitives everything else consumes.
 
 Vertices are always the integers ``0..n-1``.  A :class:`Graph` is immutable
-once constructed and keeps, next to the public frozenset adjacency, a
-per-vertex integer bitmask.  The bitmasks are what make the subset-heavy
-computations (connectivity, cut-component sums, clique search) fast enough
-to brute-force at desk scale, which is the design point of this library:
+once constructed and stores its adjacency only as one integer bitmask per
+vertex; neighbour sets and edge lists are views derived from the masks on
+demand.  The bitmasks are what make the subset-heavy computations
+(connectivity, cut-component sums, clique search) fast enough to
+brute-force at desk scale, which is the design point of this library:
 every quantity is exact and small instances are enumerated rather than
 approximated.
 """
@@ -16,7 +17,7 @@ import random
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .peo import Peo
+from .peo import Peo, is_valid_peo
 
 __all__ = [
     "Graph",
@@ -42,9 +43,11 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on the vertex set ``{0, ..., n-1}``.
 
-    No self-loops; adjacency is kept symmetric by construction.  Instances
-    are immutable (and hashable), so all operations in this package are pure
-    functions that are safe to call concurrently.
+    No self-loops; adjacency is kept symmetric by construction.  ``_masks[v]``
+    has bit u set exactly when u and v are adjacent; it is the only stored
+    form of the adjacency.  Instances are immutable (and hashable), so all
+    operations in this package are pure functions that are safe to call
+    concurrently.
 
     ``_memo`` keeps the values of the :func:`once_per_graph` functions (the
     chordality witness, the clique vector, the maximal cliques, the cliques
@@ -54,24 +57,21 @@ class Graph:
     that miss at once each compute the same value, and either store wins.
     """
 
-    __slots__ = ("n", "adj", "_masks", "_memo")
+    __slots__ = ("n", "_masks", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(
-            self, "_masks", tuple(sum(1 << u for u in s) for s in adj)
-        )
+        object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -85,33 +85,34 @@ class Graph:
     # -- basic accessors -------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(_bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._masks[v].bit_count()
 
     def mask(self, v: int) -> int:
         return self._masks[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return v >= 0 and self._masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted ``(u, v)`` pairs with ``u < v``."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        # each u with its neighbours above u
+        return [(u, v) for u, m in enumerate(self._masks) for v in _bits(m >> (u + 1) << (u + 1))]
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -291,7 +292,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     edges = [
         (index[u], index[v])
         for u in old_ids
-        for v in g.adj[u]
+        for v in _bits(g._masks[u])
         if u < v and v in index
     ]
     return Graph(len(old_ids), edges), tuple(old_ids)
@@ -300,17 +301,27 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
 def _max_cardinality_search(masks: Sequence[int]) -> list[int]:
     """Maximum cardinality search over the graph with adjacency bitmasks
     ``masks``, smaller ids first on ties; returns the reverse visit order
-    (position 0 is eliminated first)."""
+    (position 0 is eliminated first).  The unvisited vertices are bucketed
+    by weight, one bitmask per bucket (Tarjan & Yannakakis 1984)."""
     n = len(masks)
     weight = [0] * n
-    unvisited = (1 << n) - 1
+    bucket = [0] * (n + 1)  # bucket[w]: the unvisited vertices of weight w
+    bucket[0] = unvisited = (1 << n) - 1
+    top = 0
     visit: list[int] = []
     for _ in range(n):
-        v = max(_bits(unvisited), key=lambda u: (weight[u], -u))
-        unvisited ^= 1 << v
+        top += 1  # one visit raises each weight by at most one
+        while not bucket[top]:
+            top -= 1
+        b = bucket[top] & -bucket[top]
+        bucket[top] ^= b
+        unvisited ^= b
+        v = b.bit_length() - 1
         visit.append(v)
         for u in _bits(masks[v] & unvisited):
+            bucket[weight[u]] ^= 1 << u
             weight[u] += 1
+            bucket[weight[u]] |= 1 << u
     return visit[::-1]
 
 
@@ -318,29 +329,15 @@ def _max_cardinality_search(masks: Sequence[int]) -> list[int]:
 def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
     """Chordality test with a perfect elimination ordering as witness.
 
-    Runs maximum cardinality search and verifies the resulting order; the
-    graph is chordal iff the verification passes, in which case the order is
-    returned as a :class:`Peo` (position 0 is eliminated first).  Ties in the
-    search are broken toward smaller vertex ids, so the witness is
-    deterministic.
+    Runs maximum cardinality search and checks the resulting order with
+    :func:`~cliquevec.peo.is_valid_peo`; the graph is chordal iff the check
+    passes, in which case the order is returned as a :class:`Peo` (position
+    0 is eliminated first).  Ties in the search are broken toward smaller
+    vertex ids, so the witness is deterministic.
     """
-    n = g.n
-    if n == 0:
-        return True, Peo(())
     order = _max_cardinality_search(g._masks)
-    pos = [0] * n
-    for p, v in enumerate(order):
-        pos[v] = p
-    # Standard PEO check: the earliest later-neighbor must dominate the rest.
-    for p, v in enumerate(order):
-        later = [u for u in g.adj[v] if pos[u] > p]
-        if not later:
-            continue
-        first = min(later, key=lambda u: pos[u])
-        rest = set(later)
-        rest.discard(first)
-        if not rest <= g.adj[first]:
-            return False, None
+    if not is_valid_peo(g, order):
+        return False, None
     return True, Peo(tuple(order))
 
 

@@ -155,10 +155,8 @@ def special_peo(g, k_clique) -> Peo:
 
 def monotone_neighbors(g, peo: Peo, v: int) -> tuple[int, ...]:
     """Neighbors of ``v`` placed after it, in increasing position order."""
-    p = peo.position(v)
-    return tuple(
-        sorted((u for u in g.adj[v] if peo.position(u) > p), key=peo.position)
-    )
+    nb = g.mask(v)
+    return tuple(u for u in peo.order[peo.position(v) + 1 :] if nb >> u & 1)
 
 
 def s_of_clique(g, peo: Peo, clique: Iterable[int]) -> frozenset[int]:

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, masked_component_count, vertex_connectivity
+from .graphs import Graph, _bits, masked_component_count, vertex_connectivity
 from .cliques import dominating_numbers, maximal_cliques
 
 __all__ = [
@@ -65,28 +65,24 @@ def _peel(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     largest id, so peeling a graph built by :func:`graph_from_word` removes
     vertices in reverse creation order and reproduces the word exactly.
     """
-    n = g.n
-    alive = set(range(n))
-    deg = {v: g.degree(v) for v in range(n)}
+    masks = g._masks
+    alive = (1 << g.n) - 1
     letters: list[str] = []
     removal: list[int] = []
     while alive:
-        m = len(alive)
-        dominating = [v for v in alive if deg[v] == m - 1]
+        deg = {v: (masks[v] & alive).bit_count() for v in _bits(alive)}
+        dominating = [v for v, k in deg.items() if k == len(deg) - 1]
         if dominating:
             v = max(dominating)
             letters.append("S")
         else:
-            isolated = [v for v in alive if deg[v] == 0]
+            isolated = [v for v, k in deg.items() if k == 0]
             if not isolated:
                 return None
             v = max(isolated)
             letters.append("D")
-        alive.remove(v)
+        alive ^= 1 << v
         removal.append(v)
-        for u in g.adj[v]:
-            if u in alive:
-                deg[u] -= 1
     word = "".join(reversed(letters))
     labels = tuple(reversed(removal))
     return word, labels

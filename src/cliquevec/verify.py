@@ -28,8 +28,8 @@ import random
 from dataclasses import dataclass
 
 from .betti import betti_from_hvector
-from .cliques import _clique_masks, clique_vector, dominating_numbers, kappa_tilde
-from .complexes import _is_matroid, _is_shifted
+from .cliques import clique_vector, dominating_numbers, kappa_tilde
+from .complexes import clique_complex, is_matroid, is_pure, is_shifted
 from .graphs import (
     Graph,
     cut_component_sum,
@@ -207,7 +207,7 @@ def _shift_claims(g, d_values, kappa, ktilde) -> list[ClaimResult]:
     labeled = threshold_labeling(t)
     word_order = shifted_vertex_order(res.word)
     vertex_order = tuple(labeled[1][p] for p in word_order)
-    shifted_ok = _is_shifted(t.n, _clique_masks(t), vertex_order)
+    shifted_ok = is_shifted(clique_complex(t), vertex_order)
     claims.append(
         ClaimResult(
             "shift_image_complex_shifted",
@@ -236,10 +236,9 @@ def _threshold_claims(g, word, b, cuts, kappa, d) -> list[ClaimResult]:
 
 
 def _complex_claims(g, b, ktilde, word) -> list[ClaimResult]:
-    # The clique complex of g has the maximal cliques as its facets.
-    cliques = _clique_masks(g)
+    cx = clique_complex(g)
     claims = []
-    if len({c.bit_count() for c in cliques}) <= 1:
+    if is_pure(cx):
         tail = b[ktilde:]
         ok = len(set(tail)) <= 1
         claims.append(
@@ -250,7 +249,7 @@ def _complex_claims(g, b, ktilde, word) -> list[ClaimResult]:
             )
         )
     if g.n <= 14:
-        matroid = _is_matroid(g.n, cliques)
+        matroid = is_matroid(cx)
         if matroid:
             ok = word is not None
             claims.append(

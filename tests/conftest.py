@@ -121,7 +121,7 @@ def brute_is_chordal(g: Graph) -> bool:
     while alive:
         victim = None
         for v in alive:
-            nb = g.adj[v] & alive
+            nb = g.neighbors(v) & alive
             if all(g.has_edge(a, b) for a, b in combinations(sorted(nb), 2)):
                 victim = v
                 break

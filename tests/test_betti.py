@@ -190,8 +190,8 @@ def test_hochster_non_chordal_fixture():
 
 def test_hochster_vertex_cap():
     with pytest.raises(CapExceeded):
-        table_of(Graph.complete(11))
-    table_of(Graph.complete(11), vertex_cap=11)
+        table_of(Graph.complete(17))
+    table_of(Graph.complete(17), vertex_cap=17)
 
 
 def test_hochster_parallel_matches_sequential(bp12):

@@ -149,10 +149,10 @@ def test_betti_single_methods(tmp_path, capsys):
 
 def test_betti_cap_exit(tmp_path, capsys):
     big = tmp_path / "big.graph"
-    big.write_text(format_graph(random_chordal(12, 3, 0)))
+    big.write_text(format_graph(random_chordal(17, 3, 0)))
     assert main(["betti", str(big), "--method", "hochster"]) == 4
     capsys.readouterr()
-    assert main(["betti", str(big), "--method", "hochster", "--cap", "12"]) == 0
+    assert main(["betti", str(big), "--method", "hochster", "--cap", "17"]) == 0
 
 
 def test_betti_cap_exit_on_a_clique_deeper_than_recursion_limit(tmp_path, capsys):
@@ -184,7 +184,7 @@ def test_betti_cap_checked_before_clique_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the vertex cap check")
 
-    for name in ("is_chordal", "clique_vector", "clique_complex"):
+    for name in ("is_chordal", "clique_vector", "full_betti_hochster"):
         monkeypatch.setattr(cli, name, refuse)
     big = tmp_path / "k60.graph"
     big.write_text(format_graph(Graph.complete(60)))
@@ -234,7 +234,7 @@ def test_one_parser_serves_successive_calls(bp_file, c5_file, capfd):
     # the last call exits 4 on the cap it was given, not on an earlier one
     assert code == 4 and err == "error: Hochster brute force capped at 6 vertices\n"
     args = cliquevec.cli._build_parser().parse_args(["betti", "-"])
-    assert (args.method, args.cap, args.jobs, args.complex) == ("all", 10, 1, False)
+    assert (args.method, args.cap, args.jobs, args.complex) == ("all", 16, 1, False)
 
 
 def test_oversized_header_is_an_input_error(tmp_path, capsys):
@@ -267,10 +267,23 @@ def test_betti_refuses_non_chordal_before_the_scan(c5_file, tmp_path, capsys, mo
         assert captured.out == ""
         assert captured.err == "error: b-vector route requires a chordal graph\n"
     # the vertex cap is still checked first
-    c12 = tmp_path / "c12.graph"
-    c12.write_text(format_graph(Graph.cycle(12)))
-    assert main(["betti", str(c12), "--method", "all"]) == 4
-    assert capsys.readouterr().err == "error: Hochster brute force capped at 10 vertices\n"
+    c17 = tmp_path / "c17.graph"
+    c17.write_text(format_graph(Graph.cycle(17)))
+    assert main(["betti", str(c17), "--method", "all"]) == 4
+    assert capsys.readouterr().err == "error: Hochster brute force capped at 16 vertices\n"
+
+
+def test_betti_on_a_graph_lists_no_maximal_cliques(bp_file, c5_file, capsys, monkeypatch):
+    """The Hochster scan of a graph starts from its adjacency masks: a
+    clique complex is flag by construction, so Bron-Kerbosch never runs."""
+    bk_calls = count_calls(monkeypatch, cliquevec.cliques, "_bron_kerbosch")
+    # C5 with --method all stops at the b-vector route's chordality check
+    for path, method, code in (
+        (c5_file, "hochster", 0), (c5_file, "all", 3), (bp_file, "hochster", 0), (bp_file, "all", 0),
+    ):
+        assert main(["betti", path, "--method", method]) == code
+        capsys.readouterr()
+        assert bk_calls[0] == 0, (path, method)
 
 
 def test_betti_hochster_and_strand_skip_the_clique_vector(c5_file, capsys, monkeypatch):
@@ -378,3 +391,41 @@ def test_verify_stream_parses_as_json_lines(bp_file, capsys):
     assert len(lines) == 5  # 4 instances + summary
     for obj in lines[:-1]:
         assert "claims" in obj and obj["schema"] == "cliquevec/1"
+
+
+def test_graph_and_complex_output_is_pinned(tmp_path, capsys):
+    """``invariants``, ``shift`` and ``betti --method all`` on chordal and
+    non-chordal graphs, and ``betti --complex`` on flag and non-flag
+    complexes, byte for byte; the digest does not depend on how a vertex
+    set is stored."""
+    from itertools import combinations
+
+    from cliquevec import Graph
+
+    graphs = [random_chordal(n, w, s) for n, w, s in ((8, 2, 1), (10, 3, 4), (11, 4, 7), (12, 2, 9))]
+    graphs += [
+        Graph.cycle(5),
+        Graph.path(6),
+        Graph(6, [(3, 4), (4, 5), (3, 5), (0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5)]),
+    ]
+    complexes = [
+        "3\n0 1\n1 2\n0 2\n",
+        "6\n0 1 3\n0 1 5\n0 2 4\n0 2 5\n0 3 4\n1 2 3\n1 2 4\n1 4 5\n2 3 5\n3 4 5\n",
+        "6\n" + "".join(f"{a} {b} {c}\n" for a, b, c in combinations(range(6), 3)
+                        if a // 2 != b // 2 != c // 2 != a // 2),
+    ]
+    digest = hashlib.sha256()
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.graph"
+        path.write_text(format_graph(g))
+        for argv in (["invariants"], ["shift"], ["betti", "--method", "all", "--cap", "12"]):
+            main([*argv, str(path)])
+            digest.update(capsys.readouterr().out.encode())
+    for k, text in enumerate(complexes):
+        path = tmp_path / f"c{k}.cx"
+        path.write_text(text)
+        main(["betti", str(path), "--complex", "--method", "hochster", "--cap", "12"])
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "7a90a75ae6c6f7aa0094f128cf440129018da1398127c064f20ad33d0d4e9fad"
+    )

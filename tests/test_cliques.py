@@ -1,9 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquevec import (
     Graph,
+    b_from_c,
     clique_vector,
     cliques_of_size,
     components,
@@ -13,6 +16,7 @@ from cliquevec import (
     is_chordal,
     kappa_tilde,
     maximal_cliques,
+    random_chordal,
     vertex_connectivity,
 )
 from cliquevec.cliques import _count_cliques_general
@@ -274,3 +278,29 @@ def test_dominating_numbers_match_brute_force(corpus_small):
 def test_dominating_numbers_errors():
     with pytest.raises(ValueError):
         dominating_numbers(Graph(0))
+
+
+@st.composite
+def relabeled_pairs(draw, max_n=9):
+    """A chordal or arbitrary graph and a copy under a random relabelling."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        width = draw(st.integers(min_value=1, max_value=min(4, n)))
+        g = random_chordal(n, width, draw(st.integers(min_value=0, max_value=2**32)))
+    else:
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    perm = draw(st.permutations(range(n)))
+    return g, Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@given(relabeled_pairs())
+@settings(max_examples=120, deadline=None)
+def test_invariants_do_not_change_under_relabeling(pair):
+    g, h = pair
+    assert clique_vector(g) == clique_vector(h)
+    assert b_from_c(clique_vector(g)) == b_from_c(clique_vector(h))
+    assert vertex_connectivity(g) == vertex_connectivity(h)
+    assert kappa_tilde(g) == kappa_tilde(h)
+    assert dominating_numbers(g) == dominating_numbers(h)

@@ -55,6 +55,34 @@ def test_complex_construction_maximalizes():
         assert list(SimplicialComplex(n, family).facets) == sorted(brute, key=sorted)
 
 
+def test_facet_views_match_frozenset_references(corpus_small):
+    """``facets``, ``repr``, ``format_complex``, ``dim``, ``==`` and
+    ``hash`` of the mask-stored complex agree with a facet list kept as
+    frozensets and sorted by their sorted members."""
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        family = [
+            [rng.randrange(n) for _ in range(rng.randint(0, 5))] if n else []
+            for _ in range(rng.randint(0, 8))
+        ]
+        sets = [frozenset(f) for f in family]
+        ref = sorted({s for s in sets if s and not any(s < t for t in sets)}, key=sorted)
+        cx = SimplicialComplex(n, family)
+        assert cx.facets == tuple(ref)
+        assert repr(cx) == f"SimplicialComplex(n={n}, facets={[sorted(f) for f in ref]})"
+        assert format_complex(cx) == "".join(
+            f"{line}\n" for line in [str(n), *(" ".join(map(str, sorted(f))) for f in ref)]
+        )
+        assert cx.dim == max(map(len, ref), default=0) - 1
+        again = SimplicialComplex(n, [f[::-1] for f in reversed(family)])
+        assert again == cx and hash(again) == hash(cx)
+        assert SimplicialComplex(n + 1, family) != cx
+    for g in corpus_small[:40]:
+        assert clique_complex(g).facets == tuple(maximal_cliques(g))
+        assert clique_complex(g) == SimplicialComplex(g.n, maximal_cliques(g))
+
+
 def test_clique_complex_examples(bp12):
     assert facets(clique_complex(Graph.complete(3))) == {frozenset({0, 1, 2})}
     assert facets(clique_complex(Graph.path(3))) == {

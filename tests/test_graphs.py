@@ -20,7 +20,12 @@ from cliquevec import (
     simplicial_vertices,
     vertex_connectivity,
 )
-from cliquevec.graphs import MAX_PARSED_VERTICES, clique_walk, connected_sets
+from cliquevec.graphs import (
+    MAX_PARSED_VERTICES,
+    _max_cardinality_search,
+    clique_walk,
+    connected_sets,
+)
 from cliquevec.peo import is_valid_peo
 
 from conftest import (
@@ -43,6 +48,37 @@ def test_graph_basics():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+
+
+def test_mask_views_match_frozenset_references():
+    """Every accessor derived from the adjacency masks agrees with an
+    adjacency built as frozensets from the raw edge list."""
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.2, 0.5, 0.8))
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in combinations(range(n), 2) if rng.random() < p]
+        edges += edges[: rng.randint(0, 3)]  # repeated edges
+        rng.shuffle(edges)
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        pairs = sorted({(min(e), max(e)) for e in edges})
+        g = Graph(n, edges)
+        assert [g.neighbors(v) for v in range(n)] == [frozenset(s) for s in adj]
+        assert [g.degree(v) for v in range(n)] == [len(s) for s in adj]
+        assert all(
+            g.has_edge(u, v) is (v in adj[u]) for u in range(n) for v in range(-1, n + 1)
+        )
+        assert g.edges() == pairs
+        assert g.m == len(pairs)
+        same = Graph(n, [e[::-1] for e in reversed(edges)])
+        assert same == g and hash(same) == hash(g)
+        assert Graph(n + 1, edges) != g
+        if pairs:
+            drop = set(rng.choice(pairs))
+            assert Graph(n, [e for e in edges if set(e) != drop]) != g
 
 
 def test_graph_copies_and_pickles_with_an_empty_memo(bp12):
@@ -287,6 +323,37 @@ def test_connected_sets_match_networkx():
             assert nb == c | sum(1 << v for v in boundary)
 
 
+def reference_max_cardinality_search(masks) -> list[int]:
+    """Maximum cardinality search as first written: each step takes the
+    unvisited vertex of highest weight, smaller id first, by ``max`` over
+    every unvisited vertex."""
+    n = len(masks)
+    weight = [0] * n
+    unvisited = set(range(n))
+    visit = []
+    for _ in range(n):
+        v = max(unvisited, key=lambda u: (weight[u], -u))
+        unvisited.remove(v)
+        visit.append(v)
+        for u in unvisited:
+            if masks[v] >> u & 1:
+                weight[u] += 1
+    return visit[::-1]
+
+
+def test_max_cardinality_search_matches_reference(corpus300):
+    rng = random.Random(606)
+    non_chordal = []
+    while len(non_chordal) < 200:
+        n = rng.randint(4, 14)
+        p = rng.choice((0.3, 0.5, 0.7))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if not brute_is_chordal(g):
+            non_chordal.append(g)
+    for g in [*corpus300, *non_chordal, Graph(0), Graph(5), Graph.complete(7)]:
+        assert _max_cardinality_search(g._masks) == reference_max_cardinality_search(g._masks)
+
+
 def test_peo_witness_simplicial_in_suffix(corpus_small):
     from itertools import combinations
 
@@ -294,7 +361,7 @@ def test_peo_witness_simplicial_in_suffix(corpus_small):
         _, peo = is_chordal(g)
         order = peo.order
         for p, v in enumerate(order):
-            later = [u for u in g.adj[v] if peo.position(u) > p]
+            later = [u for u in g.neighbors(v) if peo.position(u) > p]
             for a, b in combinations(later, 2):
                 assert g.has_edge(a, b)
 

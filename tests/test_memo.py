@@ -126,6 +126,20 @@ def test_cliques_of_size_past_the_clique_number():
     assert cliques_of_size(Graph(0), 3) == []
 
 
+def test_single_size_callers_walk_only_to_their_size():
+    # K16 has 65,535 cliques; the 2-cliques alone come from a walk that
+    # stops at size 2, and no list of every clique is kept on the graph
+    from cliquevec.cliques import _cliques_by_size
+
+    g = Graph.complete(16)
+    assert len(cliques_of_size(g, 2)) == 120
+    assert dominating_number(g, 2) == (1, [frozenset({0, 1})])
+    assert _cliques_by_size.__wrapped__ not in g._memo
+    p4 = Graph.path(4)
+    assert dominating_numbers(p4) == (2, 3)
+    assert _cliques_by_size.__wrapped__ in p4._memo
+
+
 def test_kept_values_are_immutable(corpus_small):
     for g in corpus_small[:30]:
         evaluate_graph(g)

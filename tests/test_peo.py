@@ -93,7 +93,7 @@ def test_clique_counting_identity(corpus_small):
     for g in corpus_small[:40]:
         _, peo = is_chordal(g)
         degs = [
-            sum(1 for u in g.adj[v] if peo.position(u) > peo.position(v))
+            sum(1 for u in g.neighbors(v) if peo.position(u) > peo.position(v))
             for v in range(g.n)
         ]
         counts = brute_clique_counts(g)
