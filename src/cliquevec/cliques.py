@@ -21,21 +21,15 @@ __all__ = [
 ]
 
 
-def _count_cliques_general(g: Graph) -> list[int]:
-    """Clique counts by size via ordered extension (works for any graph)."""
-    counts = [0] * (g.n + 1)
-    for clique in clique_walk(g._masks, (1 << g.n) - 1, g.n):
-        counts[clique.bit_count()] += 1
-    return counts
-
-
 @once_per_graph
 def clique_vector(g: Graph) -> tuple[int, ...]:
     """The clique vector ``(c_1, ..., c_d)``: ``c_i`` counts i-cliques.
 
     Chordal graphs are counted through a PEO (each clique is its earliest
     vertex plus a subset of that vertex's monotone neighborhood), other
-    graphs by explicit enumeration; the two paths agree on chordal inputs.
+    graphs off the memoized cliques by size, so the clique walk that
+    :func:`dominating_numbers` needs runs once; the two paths agree on
+    chordal inputs.
     """
     if g.n == 0:
         raise ValueError("clique vector undefined for the empty graph")
@@ -50,9 +44,7 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
         return tuple(
             sum(comb(ns, i - 1) for ns in degs) for i in range(1, d + 1)
         )
-    counts = _count_cliques_general(g)
-    d = max(i for i, c in enumerate(counts) if c)
-    return tuple(counts[1 : d + 1])
+    return tuple(map(len, _cliques_by_size(g)[1:]))
 
 
 def cliques_of_size(g: Graph, size: int) -> list[frozenset[int]]:

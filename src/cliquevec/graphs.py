@@ -94,7 +94,8 @@ class Graph:
         return self._masks[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and self._masks[u] >> v & 1 == 1
+        """False when either end lies outside ``0..n-1``."""
+        return 0 <= u < len(self._masks) and v >= 0 and self._masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted ``(u, v)`` pairs with ``u < v``."""

@@ -221,78 +221,59 @@ def verify_special_peo(g, k_clique, peo: Peo) -> SpecialPeoReport:
 
     n = g.n
     k_order = _normalize_clique_order(g, k_clique)
-
-    peo_ok = is_valid_peo(g, peo.order)
-    peo_res = ConditionResult(peo_ok, None if peo_ok else "not a PEO")
-
-    a_ok, a_wit = True, None
-    for i, x in enumerate(k_order, start=1):
-        if n - i < 0 or peo.order[n - i] != x:
-            a_ok, a_wit = False, {"x_index": i, "vertex": x}
-            break
-    a_res = ConditionResult(a_ok, a_wit)
-
     cliques = maximal_cliques(g)
-    s_sets = {}
-    for c in cliques:
-        cset = set(c)
-        s_sets[c] = frozenset(
-            v
-            for v in c
-            if any(u not in cset for u in monotone_neighbors(g, peo, v))
-        )
+    s_sets = {c: s_of_clique(g, peo, c) for c in cliques}
 
-    b_ok, b_wit = True, None
-    for c in cliques:
+    def first(witnesses) -> ConditionResult:
+        bad = next(iter(witnesses), None)
+        return ConditionResult(bad is None, bad)
+
+    def b_witness(c) -> dict | None:
         s = s_sets[c]
         if not s or len(s) == len(c):
-            continue
+            return None
         max_out = max(peo.position(v) for v in c - s)
         min_in = min(peo.position(v) for v in s)
-        if max_out > min_in:
-            b_ok, b_wit = False, {
-                "clique": sorted(c),
-                "s": sorted(s),
-                "late_non_s_vertex": peo.order[max_out],
-                "early_s_vertex": peo.order[min_in],
-            }
-            break
-    b_res = ConditionResult(b_ok, b_wit)
+        if max_out <= min_in:
+            return None
+        return {
+            "clique": sorted(c),
+            "s": sorted(s),
+            "late_non_s_vertex": peo.order[max_out],
+            "early_s_vertex": peo.order[min_in],
+        }
 
-    c_ok, c_wit = True, None
-    for c in cliques:
+    def c_witness(c) -> dict | None:
         s = s_sets[c]
         degrees = [len(monotone_neighbors(g, peo, v)) for v in c - s]
-        for i in range(len(s) + 1, len(c) + 1):
-            hits = degrees.count(i - 1)
-            if hits != 1:
-                c_ok, c_wit = False, {
-                    "clique": sorted(c),
-                    "i": i,
-                    "vertices_with_degree": hits,
-                }
-                break
-        if not c_ok:
-            break
-    c_res = ConditionResult(c_ok, c_wit)
+        hits = [(i, degrees.count(i - 1)) for i in range(len(s) + 1, len(c) + 1)]
+        return next(
+            ({"clique": sorted(c), "i": i, "vertices_with_degree": k} for i, k in hits if k != 1),
+            None,
+        )
 
-    d_ok, d_wit = True, None
-    for c1, c2 in combinations(cliques, 2):
+    def d_fails(c1, c2) -> bool:
         inter = c1 & c2
         if not inter:
-            continue
+            return False
         min_in = min(peo.position(v) for v in inter)
-        side1 = c1 - c2
-        side2 = c2 - c1
-        first = not side1 or max(peo.position(v) for v in side1) < min_in
-        second = not side2 or max(peo.position(v) for v in side2) < min_in
-        if not (first or second):
-            d_ok, d_wit = False, {
-                "clique_1": sorted(c1),
-                "clique_2": sorted(c2),
-                "intersection": sorted(inter),
-            }
-            break
-    d_res = ConditionResult(d_ok, d_wit)
+        # neither side lies wholly before the intersection
+        return all(
+            side and max(peo.position(v) for v in side) >= min_in for side in (c1 - c2, c2 - c1)
+        )
 
-    return SpecialPeoReport(peo_res, a_res, b_res, c_res, d_res)
+    return SpecialPeoReport(
+        first(() if is_valid_peo(g, peo.order) else ("not a PEO",)),
+        first(
+            {"x_index": i, "vertex": x}
+            for i, x in enumerate(k_order, start=1)
+            if n - i < 0 or peo.order[n - i] != x
+        ),
+        first(filter(None, map(b_witness, cliques))),
+        first(filter(None, map(c_witness, cliques))),
+        first(
+            {"clique_1": sorted(c1), "clique_2": sorted(c2), "intersection": sorted(c1 & c2)}
+            for c1, c2 in combinations(cliques, 2)
+            if d_fails(c1, c2)
+        ),
+    )

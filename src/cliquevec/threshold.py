@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, masked_component_count, vertex_connectivity
+from .graphs import Graph, _bits, masked_component_count, once_per_graph, vertex_connectivity
 from .cliques import dominating_numbers, maximal_cliques
 
 __all__ = [
@@ -57,6 +57,7 @@ def graph_from_word(word: str) -> Graph:
     return Graph(len(w), edges)
 
 
+@once_per_graph
 def _peel(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Degree peeling.  Returns ``(word, labels)`` or None if not threshold.
 
@@ -64,6 +65,7 @@ def _peel(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     a dominating vertex is preferred over an isolated one and ties go to the
     largest id, so peeling a graph built by :func:`graph_from_word` removes
     vertices in reverse creation order and reproduces the word exactly.
+    Kept on the graph, so recognizing and labelling one graph peel it once.
     """
     masks = g._masks
     alive = (1 << g.n) - 1

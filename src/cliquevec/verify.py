@@ -63,70 +63,61 @@ class ClaimResult:
         return out
 
 
+def _claim(name: str, bad: dict | None) -> ClaimResult:
+    """A claim with its first counterexample, or passing when there is none."""
+    return ClaimResult(name, "pass" if bad is None else "fail", bad)
+
+
+# Witness builders: the index i with the two values compared there.
+def _vs_cut(b, cuts, i) -> dict:
+    return {"i": i, "b_i": str(b[i - 1]), "cut_sum_plus_1": str(cuts[i - 1] + 1)}
+
+
+def _vs_dom(b, d_values, i) -> dict:
+    return {"i": i, "b_i": str(b[i - 1]), "d_i": str(d_values[i - 1])}
+
+
+def _vs_beta(beta, n, i) -> dict:
+    return {"i": i, "beta_n_minus_i": str(beta[n - i])}
+
+
+def _dom_vs_dom(dom_t, d_values, i) -> dict:
+    return {"i": i, "d_i_T": dom_t[i - 1], "d_i_G": d_values[i - 1]}
+
+
 def _bounds_claims(b, cuts, d_values, kappa, ktilde, d) -> list[ClaimResult]:
-    claims = []
-
-    bad = next(
-        (i for i in range(1, min(kappa + 1, d) + 1) if b[i - 1] != cuts[i - 1] + 1),
-        None,
-    )
-    claims.append(
-        ClaimResult(
+    low, high = range(1, min(kappa + 1, d) + 1), range(kappa + 2, d + 1)
+    every, tail = range(1, d + 1), range(ktilde + 1, d + 1)
+    return [
+        _claim(
             "b_eq_cut_low",
-            "pass" if bad is None else "fail",
-            None
-            if bad is None
-            else {"i": bad, "b_i": str(b[bad - 1]), "cut_sum_plus_1": str(cuts[bad - 1] + 1)},
-        )
-    )
-
-    bad = next(
-        (i for i in range(kappa + 2, d + 1) if not b[i - 1] < cuts[i - 1] + 1), None
-    )
-    claims.append(
-        ClaimResult(
+            next((_vs_cut(b, cuts, i) for i in low if b[i - 1] != cuts[i - 1] + 1), None),
+        ),
+        _claim(
             "b_lt_cut_high",
-            "pass" if bad is None else "fail",
-            None
-            if bad is None
-            else {"i": bad, "b_i": str(b[bad - 1]), "cut_sum_plus_1": str(cuts[bad - 1] + 1)},
-        )
-    )
-
-    bad = next((i for i in range(1, d + 1) if not b[i - 1] <= d_values[i - 1]), None)
-    claims.append(
-        ClaimResult(
+            next((_vs_cut(b, cuts, i) for i in high if not b[i - 1] < cuts[i - 1] + 1), None),
+        ),
+        _claim(
             "b_le_dom",
-            "pass" if bad is None else "fail",
-            None
-            if bad is None
-            else {"i": bad, "b_i": str(b[bad - 1]), "d_i": str(d_values[bad - 1])},
-        )
-    )
-
-    bad = next(
-        (i for i in range(ktilde + 1, d + 1) if b[i - 1] != d_values[i - 1]), None
-    )
-    claims.append(
-        ClaimResult(
+            next((_vs_dom(b, d_values, i) for i in every if not b[i - 1] <= d_values[i - 1]), None),
+        ),
+        _claim(
             "b_eq_dom_high",
-            "pass" if bad is None else "fail",
-            None
-            if bad is None
-            else {"i": bad, "b_i": str(b[bad - 1]), "d_i": str(d_values[bad - 1])},
-        )
-    )
-
-    bad = None
-    for j in range(ktilde + 1, d + 1):
-        for i in range(j, d + 1):
-            if not b[i - 1] <= b[j - 1]:
-                bad = {"i": i, "j": j, "b_i": str(b[i - 1]), "b_j": str(b[j - 1])}
-                break
-        if bad:
-            break
-    claims.append(ClaimResult("b_monotone_high", "pass" if bad is None else "fail", bad))
-    return claims
+            next((_vs_dom(b, d_values, i) for i in tail if b[i - 1] != d_values[i - 1]), None),
+        ),
+        _claim(
+            "b_monotone_high",
+            next(
+                (
+                    {"i": i, "j": j, "b_i": str(b[i - 1]), "b_j": str(b[j - 1])}
+                    for j in tail
+                    for i in range(j, d + 1)
+                    if not b[i - 1] <= b[j - 1]
+                ),
+                None,
+            ),
+        ),
+    ]
 
 
 def _betti_claims(b, c, kappa, d, n) -> list[ClaimResult]:
@@ -134,105 +125,85 @@ def _betti_claims(b, c, kappa, d, n) -> list[ClaimResult]:
     # ideal of a chordal graph has a 2-linear resolution), not from the cut
     # sums, so these claims are independent of b_eq_cut_low / b_lt_cut_high.
     beta = betti_from_hvector(h_from_f((1, *c), d), n, d)
-    claims = []
-    bad = next(
-        (i for i in range(1, min(kappa + 1, d) + 1) if b[i - 1] != beta[n - i] + 1),
-        None,
-    )
-    claims.append(
-        ClaimResult(
+    low, high = range(1, min(kappa + 1, d) + 1), range(kappa + 2, d + 1)
+    return [
+        _claim(
             "betti_eq_low",
-            "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "beta_n_minus_i": str(beta[n - bad])},
-        )
-    )
-    bad = next(
-        (i for i in range(kappa + 2, d + 1) if not b[i - 1] < beta[n - i] + 1), None
-    )
-    claims.append(
-        ClaimResult(
+            next((_vs_beta(beta, n, i) for i in low if b[i - 1] != beta[n - i] + 1), None),
+        ),
+        _claim(
             "betti_lt_high",
-            "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "beta_n_minus_i": str(beta[n - bad])},
-        )
-    )
-    return claims
+            next((_vs_beta(beta, n, i) for i in high if not b[i - 1] < beta[n - i] + 1), None),
+        ),
+    ]
 
 
 def _shift_claims(g, d_values, kappa, ktilde) -> list[ClaimResult]:
-    claims = []
     d = len(d_values)
     try:
         res = alpha_shift(g)
     except (ShiftVerificationError, ValueError, RuntimeError) as exc:
-        claims.append(ClaimResult("shift_preserves_cliques", "fail", {"error": str(exc)}))
-        return claims
-    claims.append(ClaimResult("shift_preserves_cliques", "pass"))
+        return [_claim("shift_preserves_cliques", {"error": str(exc)})]
 
     t = res.shifted_graph
     kt = vertex_connectivity(t)
-    claims.append(
-        ClaimResult(
-            "shift_preserves_kappa",
-            "pass" if kt == kappa else "fail",
-            None if kt == kappa else {"kappa_g": kappa, "kappa_t": kt},
-        )
-    )
-
     dom_t = dominating_numbers(t)
-    bad = next((i for i in range(1, d + 1) if not dom_t[i - 1] <= d_values[i - 1]), None)
-    claims.append(
-        ClaimResult(
-            "shift_dom_le",
-            "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "d_i_T": dom_t[bad - 1], "d_i_G": d_values[bad - 1]},
-        )
-    )
-    bad = next(
-        (i for i in range(ktilde + 1, d + 1) if dom_t[i - 1] != d_values[i - 1]), None
-    )
-    claims.append(
-        ClaimResult(
-            "shift_dom_eq_high",
-            "pass" if bad is None else "fail",
-            None if bad is None else {"i": bad, "d_i_T": dom_t[bad - 1], "d_i_G": d_values[bad - 1]},
-        )
-    )
-
-    bij = clique_bijection_check(g, res)
-    claims.append(
-        ClaimResult("shift_clique_bijection", "pass" if bij.ok else "fail", bij.failure)
-    )
-
+    bijection = clique_bijection_check(g, res)
     labeled = threshold_labeling(t)
-    word_order = shifted_vertex_order(res.word)
-    vertex_order = tuple(labeled[1][p] for p in word_order)
-    shifted_ok = is_shifted(clique_complex(t), vertex_order)
-    claims.append(
-        ClaimResult(
+    vertex_order = tuple(labeled[1][p] for p in shifted_vertex_order(res.word))
+    return [
+        _claim("shift_preserves_cliques", None),
+        _claim("shift_preserves_kappa", None if kt == kappa else {"kappa_g": kappa, "kappa_t": kt}),
+        _claim(
+            "shift_dom_le",
+            next(
+                (
+                    _dom_vs_dom(dom_t, d_values, i)
+                    for i in range(1, d + 1)
+                    if not dom_t[i - 1] <= d_values[i - 1]
+                ),
+                None,
+            ),
+        ),
+        _claim(
+            "shift_dom_eq_high",
+            next(
+                (
+                    _dom_vs_dom(dom_t, d_values, i)
+                    for i in range(ktilde + 1, d + 1)
+                    if dom_t[i - 1] != d_values[i - 1]
+                ),
+                None,
+            ),
+        ),
+        _claim("shift_clique_bijection", bijection.failure),
+        _claim(
             "shift_image_complex_shifted",
-            "pass" if shifted_ok else "fail",
-            None if shifted_ok else {"word": res.word},
-        )
-    )
-    return claims
+            None if is_shifted(clique_complex(t), vertex_order) else {"word": res.word},
+        ),
+    ]
 
 
 def _threshold_claims(g, word, b, cuts, kappa, d) -> list[ClaimResult]:
-    claims = []
     try:
         threshold_profile(word, verify=True)
-        claims.append(ClaimResult("threshold_closed_forms", "pass"))
+        mismatch = None
     except ProfileMismatch as exc:
-        claims.append(ClaimResult("threshold_closed_forms", "fail", {"error": str(exc)}))
-
-    bad = None
-    for i in range(kappa + 1, d):
-        if not b[i] < cuts[i]:
-            bad = {"i": i, "b_next": str(b[i]), "cut_sum": str(cuts[i])}
-            break
-    claims.append(ClaimResult("threshold_strict_cut_sums", "pass" if bad is None else "fail", bad))
-    return claims
+        mismatch = {"error": str(exc)}
+    return [
+        _claim("threshold_closed_forms", mismatch),
+        _claim(
+            "threshold_strict_cut_sums",
+            next(
+                (
+                    {"i": i, "b_next": str(b[i]), "cut_sum": str(cuts[i])}
+                    for i in range(kappa + 1, d)
+                    if not b[i] < cuts[i]
+                ),
+                None,
+            ),
+        ),
+    ]
 
 
 def _complex_claims(g, b, ktilde, word) -> list[ClaimResult]:
@@ -240,36 +211,16 @@ def _complex_claims(g, b, ktilde, word) -> list[ClaimResult]:
     claims = []
     if is_pure(cx):
         tail = b[ktilde:]
-        ok = len(set(tail)) <= 1
-        claims.append(
-            ClaimResult(
-                "pure_tail_constant",
-                "pass" if ok else "fail",
-                None if ok else {"tail": [str(v) for v in tail]},
-            )
-        )
+        bad = None if len(set(tail)) <= 1 else {"tail": [str(v) for v in tail]}
+        claims.append(_claim("pure_tail_constant", bad))
     if g.n <= 14:
         matroid = is_matroid(cx)
         if matroid:
-            ok = word is not None
-            claims.append(
-                ClaimResult(
-                    "matroid_implies_threshold",
-                    "pass" if ok else "fail",
-                    None if ok else {"n": g.n},
-                )
-            )
-        if word is not None:
-            # Isolated-block-then-dominator-block words are exactly the
-            # matroid complexes among threshold graphs.
-            if _is_sds_form(word):
-                claims.append(
-                    ClaimResult(
-                        "sds_word_is_matroid",
-                        "pass" if matroid else "fail",
-                        None if matroid else {"word": word},
-                    )
-                )
+            claims.append(_claim("matroid_implies_threshold", {"n": g.n} if word is None else None))
+        # Isolated-block-then-dominator-block words are exactly the
+        # matroid complexes among threshold graphs.
+        if word is not None and _is_sds_form(word):
+            claims.append(_claim("sds_word_is_matroid", None if matroid else {"word": word}))
     return claims
 
 
@@ -296,16 +247,9 @@ def evaluate_graph(g: Graph, instance_id: str = "graph") -> dict:
         "m": g.m,
         "chordal": chordal,
     }
-    if not chordal:
-        report["claims"] = [
-            ClaimResult("all", "skip", {"reason": "not chordal"}).to_dict()
-        ]
-        report["failures"] = 0
-        return report
-    if g.n == 0 or g.is_complete():
-        report["claims"] = [
-            ClaimResult("all", "skip", {"reason": "complete graph"}).to_dict()
-        ]
+    if not chordal or g.n == 0 or g.is_complete():
+        reason = "complete graph" if chordal else "not chordal"
+        report["claims"] = [ClaimResult("all", "skip", {"reason": reason}).to_dict()]
         report["failures"] = 0
         return report
 

@@ -6,6 +6,7 @@ fixtures, so the suite computes each brute-force table once.
 """
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -321,35 +322,34 @@ def test_criterion_10_matroid_and_pure_families(corpus_small):
                 continue
             assert is_matroid(clique_complex(graph_from_word(w))), w
 
-    # (ii) exhaustively for n <= 7: chordal + matroid complex => threshold
+    # (ii) exhaustively for n <= 7: chordal + matroid complex => threshold.
+    # The family is closed under deleting the last vertex (induced subgraphs
+    # of chordal graphs are chordal, restrictions of matroids are matroids),
+    # so extending each member on n - 1 vertices by every neighbourhood of
+    # vertex n - 1 lists every labelled member on n vertices exactly once.
     matroid_instances = 0
+    members = [[]]  # adjacency masks of the members on n - 1 vertices
     for n in range(1, 8):
-        pairs = list(combinations(range(n), 2))
-        for em in range(1 << len(pairs)):
-            masks = [0] * n
-            t = em
-            while t:
-                b = t & -t
-                t ^= b
-                u, v = pairs[b.bit_length() - 1]
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            if not _bk_sizes_pure(masks, (1 << n) - 1):
-                continue
-            if not _chordal_by_elimination(masks, n):
-                continue
-            if not _matroid_masks(masks, n):
-                continue
-            matroid_instances += 1
-            g = Graph(n, [(u, v) for u, v in pairs if masks[u] >> v & 1])
-            assert is_matroid(clique_complex(g))  # library agrees with scan
-            word = recognize_threshold(g)
-            assert word is not None, g.edges()
-            # full classification: the word is one S, a D block, an S block
-            import re
-
-            assert re.fullmatch(r"SD*S*", word), (g.edges(), word)
-    assert matroid_instances > 150
+        extended = []
+        for base in members:
+            for nb in range(1 << (n - 1)):
+                masks = [m | (nb >> u & 1) << (n - 1) for u, m in enumerate(base)] + [nb]
+                if not _bk_sizes_pure(masks, (1 << n) - 1):
+                    continue
+                if not _chordal_by_elimination(masks, n):
+                    continue
+                if not _matroid_masks(masks, n):
+                    continue
+                extended.append(masks)
+                g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if masks[u] >> v & 1])
+                assert is_matroid(clique_complex(g))  # library agrees with scan
+                word = recognize_threshold(g)
+                assert word is not None, g.edges()
+                # full classification: the word is one S, a D block, an S block
+                assert re.fullmatch(r"SD*S*", word), (g.edges(), word)
+        matroid_instances += len(extended)
+        members = extended
+    assert matroid_instances == 226
 
     # (iii) 200 random chordal graphs: matroid => threshold
     rng = random.Random(55)

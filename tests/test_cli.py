@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ import pytest
 import cliquevec
 
 import cliquevec.cliques
-from cliquevec import chordal_with_connectivities, format_graph, random_chordal
+import cliquevec.graphs
+from cliquevec import Graph, chordal_with_connectivities, format_graph, is_chordal, random_chordal
 from cliquevec.cli import main
 
 from conftest import count_calls
@@ -57,6 +60,20 @@ def test_invariants_and_shift_list_maximal_cliques_once_per_graph(
             assert main([command, path]) == 0
             capsys.readouterr()
             assert bk_calls[0] == runs, (command, path, bk_calls[0])
+
+
+def test_invariants_walks_the_cliques_of_a_non_chordal_graph_once(tmp_path, capsys, monkeypatch):
+    """On a non-chordal graph the clique vector and the dominating numbers
+    read the same memoized cliques by size: one clique walk in all."""
+    rng = random.Random(14)
+    g = Graph(14, [e for e in combinations(range(14), 2) if rng.random() < 0.7])
+    assert not is_chordal(g)[0]
+    path = tmp_path / "gnp14.graph"
+    path.write_text(format_graph(g))
+    walks = count_calls(monkeypatch, cliquevec.graphs, "clique_walk")
+    assert main(["invariants", str(path)]) == 0
+    capsys.readouterr()
+    assert walks[0] == 1
 
 
 def test_invariants_non_chordal(tmp_path, capsys):

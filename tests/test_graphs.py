@@ -69,7 +69,9 @@ def test_mask_views_match_frozenset_references():
         assert [g.neighbors(v) for v in range(n)] == [frozenset(s) for s in adj]
         assert [g.degree(v) for v in range(n)] == [len(s) for s in adj]
         assert all(
-            g.has_edge(u, v) is (v in adj[u]) for u in range(n) for v in range(-1, n + 1)
+            g.has_edge(u, v) is (0 <= u < n and v in adj[u])
+            for u in range(-1, n + 1)
+            for v in range(-1, n + 1)
         )
         assert g.edges() == pairs
         assert g.m == len(pairs)

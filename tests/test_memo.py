@@ -16,9 +16,12 @@ from cliquevec import (
     dominating_number,
     dominating_numbers,
     evaluate_graph,
+    graph_from_word,
     is_chordal,
     kappa_tilde,
     maximal_cliques,
+    recognize_threshold,
+    threshold_labeling,
 )
 
 
@@ -48,6 +51,8 @@ def public_calls(g: Graph) -> list:
         ("maximal_cliques", maximal_cliques, ()),
         ("kappa_tilde", kappa_tilde, ()),
         ("is_chordal", is_chordal, ()),
+        ("recognize_threshold", recognize_threshold, ()),
+        ("threshold_labeling", threshold_labeling, ()),
     ]
 
 
@@ -138,6 +143,15 @@ def test_single_size_callers_walk_only_to_their_size():
     p4 = Graph.path(4)
     assert dominating_numbers(p4) == (2, 3)
     assert _cliques_by_size.__wrapped__ in p4._memo
+
+
+def test_labelling_reuses_the_recognition_peel():
+    from cliquevec.threshold import _peel
+
+    g = copy(graph_from_word("SDSDDS"))
+    assert recognize_threshold(g) == "SDSDDS"
+    kept = g._memo[_peel.__wrapped__]
+    assert threshold_labeling(g) is kept
 
 
 def test_kept_values_are_immutable(corpus_small):
