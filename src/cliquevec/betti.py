@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cliques import _bron_kerbosch
 from .complexes import CapExceeded, SimplicialComplex, _facet_faces, _maximal_masks
@@ -238,27 +238,17 @@ def _hochster_scan(
 ) -> dict:
     """Hochster contributions of the vertex subsets with masks in [lo, hi).
 
-    With ``adj`` (flag input) the reduced homology dims of each G[W] are
-    kept in a table of ``hi`` list slots, one per mask, as the small-int id
-    of an interned dims tuple (0 while unknown); counts are kept per
-    (|W|, id) and expanded into Betti entries once at the end.  W is
-    visited as its lowest vertex b plus ``rest = W - b``, grouped by b from
-    the top vertex down, so the entry of ``rest`` is known when W comes up:
-
-    - b has no neighbour in W: G[W] is G[rest] plus an isolated point;
-    - b is dominated by its lowest neighbour c in W (N[b] within N[c] in
-      G[W]): deleting b is a strong collapse, which keeps the homotopy
-      type, so W takes the entry of ``rest``; one mask test;
-    - otherwise :func:`_fill` runs the full domination search over every
-      vertex of W, and only a core, with no dominated vertex, has its
-      homology worked out, once per scan.
-
-    Under a perfect elimination ordering the lowest vertex of every W is
-    simplicial in G[W], so chordal input labelled that way never gets past
-    the mask test; nothing here assumes it.  Masks below ``lo`` are filled
-    on demand, at most n levels deep.  Without ``adj`` the facets are
-    restricted and re-maximalized, and the faces of a restriction are the
-    subsets of its facets.
+    With ``adj`` (flag input) W is visited as its lowest vertex b plus
+    ``rest = W - b``, grouped by b from the top vertex down, so the
+    :class:`_FlagScan` entries of ``rest`` and of the link ``N(b) & rest``
+    are known when W comes up (masks below ``lo`` are filled on demand).  A
+    contractible link (b dominated, or simplicial with a neighbour in W)
+    keeps the entry of ``rest``, an empty link adds a point from a list
+    memo, and any other goes through :meth:`_FlagScan.glue`; chordal input
+    in elimination order only meets the first two.  Counts are kept per
+    (|W|, id) and expanded into Betti entries once at the end.  Without
+    ``adj`` the facets are restricted and re-maximalized, and the faces of
+    a restriction are the subsets of its facets.
     """
     entries: dict = {}
     if adj is None:
@@ -277,94 +267,108 @@ def _hochster_scan(
             _add_dims(entries, dims, wmask.bit_count(), 1)
         return entries
 
-    n = len(adj)
-    ids: dict[tuple[int, ...], int] = {}
-    dims_of: list[tuple[int, ...]] = [()]  # id 0: not yet known
-    plus_point = [0]  # id -> id of the same complex plus an isolated point
-    counts: list[list[int]] = [[]]  # id -> number of W of each size
-
-    def intern(dims: tuple[int, ...]) -> int:
-        t = ids.get(dims)
-        if t is None:
-            t = ids[dims] = len(dims_of)
-            dims_of.append(dims)
-            plus_point.append(0)
-            counts.append([0] * (n + 1))
-        return t
-
-    def add_point(t: int) -> int:
-        dims = dims_of[t]
-        # the empty complex becomes a point; otherwise H~_0 goes up by one
-        p = plus_point[t] = intern((0, dims[1] + 1, *dims[2:]) if len(dims) > 1 else (0, 0))
-        return p
-
-    table = [0] * hi
-    table[0] = intern((1,))
-    if lo == 0 < hi:
-        counts[table[0]][0] += 1
-    for v in reversed(range(n)):
+    scan = _FlagScan(adj, hi, face_cap)
+    table, plus, counts, entry, glue = scan.table, scan.plus, scan.counts, scan.entry, scan.glue
+    empty, contractible = _EMPTY, _CONTRACTIBLE
+    if lo == 0:
+        counts[empty][0] += 1
+    for v in reversed(range(len(adj))):
         b = 1 << v
         nb = adj[v]
         step = b << 1
         first = max(0, -((b - lo) // step) * step)  # first rest with W >= lo
         for rest in range(first, hi - b, step):
-            t = table[rest] or _fill(adj, rest, table, intern, face_cap)
-            nv = nb & rest
-            if not nv:
-                t = plus_point[t] or add_point(t)
-            else:
-                c = nv & -nv
-                if (nv | b) & ~adj[c.bit_length() - 1] != c:
-                    t = _fill(adj, rest | b, table, intern, face_cap)
+            t = table[rest] or entry(rest)
+            c = table[nb & rest] or entry(nb & rest)
+            if c == empty:
+                t = plus[t] or glue(t, c)
+            elif c != contractible:
+                t = glue(t, c) or entry(rest | b)
             table[rest | b] = t
             counts[t][rest.bit_count() + 1] += 1
-    for dims, row in zip(dims_of, counts):
+    for dims, row in zip(scan.dims_of, counts):
         for j, count in enumerate(row):
             if count:
                 _add_dims(entries, dims, j, count)
     return entries
 
 
-def _fill(
-    adj: Sequence[int], w: int, table: list[int], intern: Callable, face_cap: int
-) -> int:
-    """Id of the reduced homology dims of the clique complex of G[w], worked
-    out with the full domination search, stored in ``table[w]``.
+_EMPTY, _CONTRACTIBLE = 1, 2  # ids of the dims (1,) and () in every scan
 
-    v is dominated by a neighbour u when N[v] lies in N[u] within w;
-    G[w] then has the dims of G[w - v], read from ``table`` or worked out
-    the same way, at most n levels deep.  Only a core, with no dominated
-    vertex, is worked out from scratch: its faces are the cliques of G[w],
-    listed once each by :func:`clique_walk`, and the rank of its edge
-    boundary comes from the component count of G[w].  ``intern`` maps a
-    dims tuple to its id.
+
+class _FlagScan:
+    """Reduced homology ids of the clique complexes X(G[w]), by mask w.
+
+    ``table[w]`` is 0 while unknown; ``dims_of[id]`` has ``dims[k + 1] =
+    dim H~_k`` with trailing zeros stripped, so the empty complex is
+    ``(1,)`` and every contractible complex ``()``.
     """
-    has_edge = False
-    r = w
-    while r:
-        b = r & -r
-        r ^= b
-        nv = adj[b.bit_length() - 1] & w
-        if not nv:
-            continue
-        has_edge = True
-        closed = nv | b
-        s = nv
-        while s:
-            c = s & -s
-            s ^= c
-            # N[v] lies in N[u] when u is the only member outside N(u)
-            if closed & ~adj[c.bit_length() - 1] == c:
-                t = table[w] = table[w ^ b] or _fill(adj, w ^ b, table, intern, face_cap)
-                return t
-    if has_edge:
-        by_dim = _faces_by_dim(clique_walk(adj, w, w.bit_count()), face_cap)
-        dims = _homology_dims(by_dim, masked_component_count(adj, w))
-    else:
-        k = w.bit_count()  # k isolated points: only H~_0, of rank k - 1
-        dims = (0, k - 1) if k else (1,)  # W empty: only H~_-1
-    t = table[w] = intern(dims)
-    return t
+
+    __slots__ = ("adj", "face_cap", "table", "ids", "dims_of", "plus", "counts", "glued")
+
+    def __init__(self, adj: Sequence[int], size: int, face_cap: int) -> None:
+        self.adj, self.face_cap, self.table = adj, face_cap, [0] * size
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.dims_of: list[tuple[int, ...]] = [()]  # id 0: not yet known
+        self.plus = [0]  # id -> id of the same complex plus a point, 0 if unknown
+        self.counts: list[list[int]] = [[]]  # id -> number of W of each size
+        self.table[0] = self.intern((1,))
+        self.intern(())
+        # a point is the cone over the empty link, glued to the empty complex
+        self.plus[_EMPTY] = _CONTRACTIBLE
+        self.glued = {(_EMPTY, _EMPTY): _CONTRACTIBLE}
+
+    def intern(self, dims: tuple[int, ...]) -> int:
+        while dims and not dims[-1]:
+            dims = dims[:-1]
+        t = self.ids.get(dims)
+        if t is None:
+            t = self.ids[dims] = len(self.dims_of)
+            self.dims_of.append(dims)
+            self.plus.append(0)
+            self.counts.append([0] * (len(self.adj) + 1))
+        return t
+
+    def glue(self, t: int, c: int) -> int:
+        """Id of X(W) from the ids ``t`` of X(W - v) and ``c`` of the link
+        X(N(v) & W), or 0 when refused; memoized, in ``plus`` for c empty.
+
+        X(W) is X(W - v) with the cone over the link glued on along the
+        link, so reduced Mayer-Vietoris reads ``H~_k(link) -> H~_k(W - v)
+        -> H~_k(W) -> H~_(k-1)(link) -> H~_(k-1)(W - v)``.  When no degree
+        k has homology on both sides the outer maps vanish, and over Q
+        ``dim H~_k(W) = dim H~_k(W - v) + dim H~_(k-1)(link)``.
+        """
+        g = self.glued.get((t, c))
+        if g is None:
+            rest, link = self.dims_of[t], self.dims_of[c]
+            g = 0
+            if not any(x and y for x, y in zip(rest, link)):
+                dims = [*rest, *[0] * (len(link) + 1 - len(rest))]
+                for k, h in enumerate(link, 1):
+                    dims[k] += h
+                g = self.intern(tuple(dims))
+            self.glued[t, c] = g
+            if c == _EMPTY:
+                self.plus[t] = g
+        return g
+
+    def entry(self, w: int) -> int:
+        """Id of X(G[w]), stored in ``table[w]``: :meth:`glue` at each
+        vertex of w in turn, smaller masks filled on demand.  Only if every
+        vertex is refused are the cliques of G[w] passed to the engine.
+        """
+        t = self.table[w]
+        r = w
+        while r and not t:
+            b = r & -r
+            r ^= b
+            t = self.glue(self.entry(w ^ b), self.entry(self.adj[b.bit_length() - 1] & w))
+        if not t:
+            by_dim = _faces_by_dim(clique_walk(self.adj, w, w.bit_count()), self.face_cap)
+            t = self.intern(_homology_dims(by_dim, masked_component_count(self.adj, w)))
+        self.table[w] = t
+        return t
 
 
 def _add_dims(entries: dict, dims: Sequence[int], j: int, count: int) -> None:
@@ -400,25 +404,16 @@ def full_betti_hochster(
 
     The path follows the input.  When ``cx`` is a graph G, or a flag
     complex (the clique complex of its 1-skeleton G, checked by listing
-    the maximal cliques of G), G is first relabelled by one maximum
-    cardinality search, so that the vertex eliminated first is vertex 0;
-    the table does not depend on the labels.  One scan then
-    fills a table indexed by vertex mask, 2^n list slots (about 8 MB at
-    n = 20), each holding the small-int id of an interned reduced homology
-    tuple.  Each W is its lowest vertex b plus W - b: an isolated b adds a
-    point to the complex of W - b, and a b dominated by its lowest
-    neighbour in W takes the entry of W - b, since deleting a dominated
-    vertex keeps the homotopy type.  On chordal input the relabelling
-    makes b simplicial in G[W], so every W ends on that one mask test, and
-    cones and connected chordal restrictions contribute nothing.  Any other
-    W gets the full domination search, and only a core, with no dominated
-    vertex, has its cliques, each listed once, passed to the homology
-    engine, once per scan.  Counts are kept per (|W|, id) and expanded
-    into the table once at the end.  Other complexes (ghost vertices,
-    complex files) take the facet path: restrict the facets to W, keep the
-    maximal ones, skip cones and take the faces as subsets of the facets.
-    ``face_cap`` applies to each restriction the engine sees, the core on
-    the flag path.  Restrictions to at most 14 vertices have at most 16,383
+    the maximal cliques of G), G is relabelled by one maximum cardinality
+    search, so that the vertex eliminated first is vertex 0, and one scan
+    fills a table of 2^n slots (about 8 MB at n = 20) by vertex mask.  Each
+    entry is read off the entries of W - v and of the link N(v) & W by one
+    Mayer-Vietoris rule (:meth:`_FlagScan.glue`); only a W refused at every
+    vertex, such as two disjoint 4-cycles, has its cliques passed to the
+    homology engine.  Other     complexes (ghost vertices, complex files) take the facet path: restrict
+    the facets to W, keep the maximal ones, skip cones and take the faces
+    as subsets of the facets.  ``face_cap`` applies to each restriction the
+    engine sees.  Restrictions to at most 14 vertices have at most 16,383
     faces, so the default cap can fire only from 15 vertices on.
 
     With ``jobs > 1`` the subset range is split into contiguous blocks whose

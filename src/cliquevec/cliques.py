@@ -224,15 +224,11 @@ def _min_cover(universe_size: int, cover_masks: list[int]) -> tuple[int, list[in
     return best_size, best
 
 
-def dominating_number(
-    g: Graph, i: int, strict: bool = False
-) -> tuple[int, list[frozenset[int]]]:
+def dominating_number(g: Graph, i: int) -> tuple[int, list[frozenset[int]]]:
     """Minimum number of i-cliques needed so that every maximal clique of
     order >= i contains one of them, with a witness family attaining it.
 
-    Containment is non-strict by default (an i-clique dominates itself);
-    ``strict=True`` computes the proper-containment variant for comparison
-    and raises ``ValueError`` when no strict dominating family exists.
+    Containment is non-strict: an i-clique dominates itself.
     """
     cliques = sorted(_clique_masks(g), key=_bits)
     if not cliques:
@@ -240,7 +236,7 @@ def dominating_number(
     d = max(c.bit_count() for c in cliques)
     if not 1 <= i <= d:
         raise ValueError(f"i={i} out of range 1..{d}")
-    size, chosen = _dominating_cover(cliques, _k_cliques(g, i), i, strict)
+    size, chosen = _dominating_cover(cliques, _k_cliques(g, i), i)
     return size, [_mask_to_set(c) for c in chosen]
 
 
@@ -257,28 +253,18 @@ def dominating_numbers(g: Graph) -> tuple[int, ...]:
 
 
 def _dominating_cover(
-    cliques: Sequence[int], candidates: Sequence[int], i: int, strict: bool = False
+    cliques: Sequence[int], candidates: Sequence[int], i: int
 ) -> tuple[int, list[int]]:
-    """Minimum number of the i-cliques ``candidates`` (bitmasks) containing
-    every maximal clique of order >= i among ``cliques``, with the chosen
-    candidates; see :func:`dominating_number` for ``strict``."""
+    """Minimum number of the i-cliques ``candidates`` (bitmasks) such that
+    every maximal clique of order >= i among ``cliques`` contains one, with
+    the chosen candidates.  Each such clique contains an i-clique, so with
+    every i-clique a candidate a cover always exists."""
     universe = [c for c in cliques if c.bit_count() >= i]
     if not universe:
         raise ValueError(f"no maximal clique of order >= {i}")
-    cover_masks = []
-    kept: list[int] = []
-    for cand in candidates:
-        m = 0
-        for idx, target in enumerate(universe):
-            if not cand & ~target and (not strict or cand != target):
-                m |= 1 << idx
-        if m:
-            cover_masks.append(m)
-            kept.append(cand)
-    covered = 0
-    for m in cover_masks:
-        covered |= m
-    if covered != (1 << len(universe)) - 1:
-        raise ValueError("some maximal clique cannot be dominated (strict mode)")
+    cover_masks = [
+        sum(1 << idx for idx, target in enumerate(universe) if not cand & ~target)
+        for cand in candidates
+    ]
     size, chosen = _min_cover(len(universe), cover_masks)
-    return size, [kept[j] for j in chosen]
+    return size, [candidates[j] for j in chosen]

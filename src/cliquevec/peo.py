@@ -215,11 +215,15 @@ def verify_special_peo(g, k_clique, peo: Peo) -> SpecialPeoReport:
         precedence conditions holds.
 
     Failures are data, not errors: the report carries the first
-    counterexample found per condition.
+    counterexample found per condition.  An ordering of the wrong length
+    fails every check, with both lengths as the witness.
     """
     from .cliques import maximal_cliques  # local: avoids cycle
 
     n = g.n
+    if len(peo) != n:
+        short = ConditionResult(False, {"peo_length": len(peo), "n": n})
+        return SpecialPeoReport(short, short, short, short, short)
     k_order = _normalize_clique_order(g, k_clique)
     cliques = maximal_cliques(g)
     s_sets = {c: s_of_clique(g, peo, c) for c in cliques}

@@ -51,6 +51,21 @@ RP2 = SimplicialComplex(
 OCTAHEDRON = Graph(6, [e for e in combinations(range(6), 2) if e[0] // 2 != e[1] // 2])
 
 
+def disjoint_union(*graphs):
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return Graph(off, edges)
+
+
+# Graphs with a restriction where the Mayer-Vietoris glue is refused at every
+# vertex, so the homology engine runs on the flag path
+TWO_C4 = disjoint_union(Graph.cycle(4), Graph.cycle(4))
+TWO_C5 = disjoint_union(Graph.cycle(5), Graph.cycle(5))
+TWO_OCTAHEDRA = disjoint_union(OCTAHEDRON, OCTAHEDRON)
+
+
 def table_of(g, **kw):
     return full_betti_hochster(clique_complex(g), **kw)
 
@@ -158,15 +173,19 @@ def test_reduced_homology_cap():
 
 
 def test_face_cap_on_the_flag_path():
-    # the octahedron has no dominated vertex, so the whole graph is a core
-    # that reaches the homology engine with its 6 + 12 + 8 = 26 faces
+    # The octahedron is read off the table (the octahedron minus a vertex
+    # is a cone, its link a 4-cycle), so no restriction reaches the engine.
+    # In two disjoint 4-cycles, deleting any vertex leaves H~_0 of rank 1
+    # and its link, two points, has H~_0 of rank 1 too, so the glue is
+    # refused at every vertex: the engine sees the whole graph, 8 + 8 faces.
     masks = masks_of(clique_complex(OCTAHEDRON))
     assert _flag_adjacency(masks, 6) is not None
-    with pytest.raises(CapExceeded, match=r"^face count exceeds cap 25$"):
-        table_of(OCTAHEDRON, face_cap=25)
-    assert table_of(OCTAHEDRON, face_cap=26).entries == {
+    assert table_of(OCTAHEDRON, face_cap=1).entries == {
         (0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1,
     }
+    with pytest.raises(CapExceeded, match=r"^face count exceeds cap 15$"):
+        table_of(TWO_C4, face_cap=15)
+    table_of(TWO_C4, face_cap=16)
 
 
 def test_hochster_table_examples(bp12):
@@ -211,7 +230,7 @@ def cycle_with_leaves(k, ends):
 def test_hochster_scan_split_into_blocks_matches_one_block():
     # A block [lo, hi) looks up masks below lo that it has not scanned
     graphs = [gnp(n, 0.45, 50 + n) for n in (9, 10, 11)]
-    graphs.append(cycle_with_leaves(7, range(7)))
+    graphs += [cycle_with_leaves(7, range(7)), TWO_C4, TWO_C5, TWO_OCTAHEDRA]
     for g in graphs:
         masks = masks_of(clique_complex(g))
         adj = _flag_adjacency(masks, g.n)
@@ -227,9 +246,10 @@ def test_hochster_scan_split_into_blocks_matches_one_block():
 
 
 def test_hochster_computes_each_core_once(monkeypatch):
-    # Every restriction of C5 with leaves on 0..3 collapses to a point, a
-    # set of points or the 5-cycle itself; only the 5-cycle is a core with
-    # an edge, so the homology engine runs once.
+    # Every restriction of C5 with leaves on 0..3, of the octahedron and of
+    # G(12, 0.45) is read off the table by the Mayer-Vietoris glue.  In two
+    # disjoint cycles only the whole graph is refused at every vertex, so
+    # the homology engine runs once.
     calls = []
 
     def counting(by_dim, components):
@@ -238,12 +258,16 @@ def test_hochster_computes_each_core_once(monkeypatch):
 
     monkeypatch.setattr(betti, "_homology_dims", counting)
     table = table_of(cycle_with_leaves(5, range(4)))
-    assert len(calls) == 1
+    assert calls == []
     assert table.entries == {
         (0, 0): 1, (1, 2): 27, (2, 3): 105, (3, 4): 189, (3, 5): 1,
         (4, 5): 190, (4, 6): 4, (5, 6): 109, (5, 7): 6, (6, 7): 33,
         (6, 8): 4, (7, 8): 4, (7, 9): 1,
     }
+    for g, want in ((OCTAHEDRON, 0), (gnp(12, 0.45, 12), 0), (TWO_C4, 1), (TWO_C5, 1)):
+        calls.clear()
+        table_of(g)
+        assert len(calls) == want, g.n
 
 
 def test_strand_matches_full_table(corpus300):
@@ -331,6 +355,7 @@ def test_ghost_vertices_contribute_to_hochster():
 
 def test_flag_and_facet_paths_agree(corpus300):
     graphs = [*corpus300[:60], *(Graph.cycle(k) for k in range(4, 9)), OCTAHEDRON]
+    graphs += [TWO_C4, TWO_C5, TWO_OCTAHEDRA]
     graphs += [gnp(6 + s % 5, (0.3, 0.45, 0.6)[s % 3], s) for s in range(40)]
     for g in graphs:
         masks = masks_of(clique_complex(g))
@@ -453,7 +478,7 @@ def test_isolated_vertices_flag_facet_and_block_paths_agree():
 def test_chordal_table_independent_of_labelling():
     # The scan relabels by elimination order; the raw scans below get the
     # reversed and shuffled labels as they are, so their lowest vertices
-    # are often not simplicial and the full domination search runs.
+    # are often not simplicial and the glue memo is read.
     for seed in range(12):
         g = random_chordal(7 + seed % 5, 2 + seed % 3, seed)
         n = g.n

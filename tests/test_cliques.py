@@ -194,17 +194,6 @@ def test_dominating_number_errors(bp12):
         dominating_number(bp12, 5)
 
 
-def test_dominating_number_strict_variant(bp12):
-    # A maximal clique of order exactly i cannot be strictly dominated, so
-    # the strict variant is infeasible whenever such a clique exists (for
-    # bp12 that is every i except 1) -- this is why containment must be
-    # read non-strictly for the dominance theorems to hold.
-    for i in (2, 3, 4):
-        with pytest.raises(ValueError):
-            dominating_number(bp12, i, strict=True)
-    assert dominating_number(bp12, 1, strict=True)[0] >= dominating_number(bp12, 1)[0]
-
-
 def test_dominating_equals_tail_count_beyond_ktilde(corpus_small):
     for g in corpus_small[:40]:
         if g.n < 2 or g.is_complete():

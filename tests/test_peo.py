@@ -85,6 +85,18 @@ def test_verify_detects_non_peo():
     assert not report.peo_property.ok
 
 
+def test_verify_reports_an_ordering_of_the_wrong_length():
+    # failures are data: an ordering shorter or longer than the graph fails
+    # every check, with both lengths as the witness, and raises nothing
+    for order in ((0, 1, 2), (0, 1, 2, 3, 4)):
+        report = verify_special_peo(Graph.path(4), (3, 2), Peo(order))
+        witness = {"peo_length": len(order), "n": 4}
+        assert report.to_dict() == {
+            **{key: {"ok": False, "witness": witness} for key in ("peo_property", "a", "b", "c", "d")},
+            "all_ok": False,
+        }
+
+
 def test_clique_counting_identity(corpus_small):
     from math import comb
 
