@@ -8,11 +8,13 @@ from its connected induced sets.  The strand route uses Hochster's formula
 on the strand, ``beta_{j-1,j} = sum over j-subsets W of (comp(G[W]) - 1)``,
 together with the identity
 ``sum_W comp(G[W]) x^|W| = sum_C x^|C| (1+x)^(n-|N[C]|)`` over the
-connected induced sets C, each listed once by reverse search (Avis &
-Fukuda, "Reverse search for enumeration", 1996; Wernicke's ESU, IEEE/ACM
-TCBB 2006).  It stops with :class:`CapExceeded` after
-``CONNECTED_SET_CAP`` (2^20) sets, which no graph on at most 20 vertices
-reaches.
+connected induced sets C.  The right-hand side needs only how many sets C
+have each pair ``(|C|, |N[C]|)``, so one reverse search (Avis & Fukuda,
+"Reverse search for enumeration", 1996; Wernicke's ESU, IEEE/ACM TCBB
+2006) reaches each C once and adds it to an (n+1)^2 tally, without
+listing the sets.  It stops with :class:`CapExceeded` as soon as more than
+``CONNECTED_SET_CAP`` (2^20) sets would be drawn, which no graph on at
+most 20 vertices reaches.
 
 Indexing convention (important): all public outputs are reported for the
 quotient ring R/I.  The closed h-vector formula for ideals with a t-linear
@@ -39,7 +41,6 @@ from .graphs import (
     _bits,
     _max_cardinality_search,
     clique_walk,
-    connected_sets,
     masked_component_count,
 )
 
@@ -410,11 +411,12 @@ def full_betti_hochster(
     entry is read off the entries of W - v and of the link N(v) & W by one
     Mayer-Vietoris rule (:meth:`_FlagScan.glue`); only a W refused at every
     vertex, such as two disjoint 4-cycles, has its cliques passed to the
-    homology engine.  Other     complexes (ghost vertices, complex files) take the facet path: restrict
-    the facets to W, keep the maximal ones, skip cones and take the faces
-    as subsets of the facets.  ``face_cap`` applies to each restriction the
-    engine sees.  Restrictions to at most 14 vertices have at most 16,383
-    faces, so the default cap can fire only from 15 vertices on.
+    homology engine.  Other complexes (ghost vertices, complex files) take
+    the facet path: restrict the facets to W, keep the maximal ones, skip
+    cones and take the faces as subsets of the facets.  ``face_cap``
+    applies to each restriction the engine sees.  Restrictions to at most
+    14 vertices have at most 16,383 faces, so the default cap can fire only
+    from 15 vertices on.
 
     With ``jobs > 1`` the subset range is split into contiguous blocks whose
     partial tables are merged in fixed order; each block keeps its own
@@ -457,6 +459,66 @@ def full_betti_hochster(
     return BettiTable(n, entries)
 
 
+def _strand_cap() -> CapExceeded:
+    return CapExceeded(f"linear strand capped at {CONNECTED_SET_CAP} connected induced sets")
+
+
+def _connected_set_tally(masks: Sequence[int]) -> list[int]:
+    """Count the nonempty connected induced sets C of the graph with
+    adjacency bitmasks ``masks`` by size and closed neighbourhood:
+    ``tally[|C| * (n + 1) + |N[C]|]`` is the number of such C.
+
+    Reverse search from the lowest vertex r of C (Avis & Fukuda 1996;
+    Wernicke's ESU, 2006).  A frame is ``(N[C], decided, |C| * (n + 1))``:
+    C itself is never read, only its size and closed neighbourhood, and
+    C lies inside ``decided`` (the vertices up to r, C and the vertices
+    forbidden on this branch).  A frame's children are C + v for each
+    undecided vertex v of its frontier ``N[C] & ~decided``, in ascending
+    order, with the frontier vertices up to v added to ``decided``.  This
+    is the split "v joins C" / "v is forbidden" unrolled: every connected
+    proper superset of C that avoids the forbidden vertices holds a
+    frontier vertex, and its lowest one names its branch, so each set is
+    reached exactly once.  A child with an empty frontier is counted and
+    not pushed.  The walk runs on an explicit stack, so its depth is not
+    bounded by the recursion limit.
+
+    Raises :class:`CapExceeded` once more than ``CONNECTED_SET_CAP`` sets
+    would be drawn; a frontier is added to the count before its children
+    are made, so the check is exact and the walk stops within one frontier
+    of the cap.
+    """
+    n = len(masks)
+    row = n + 1
+    tally = [0] * (row * row)
+    drawn = n
+    if drawn > CONNECTED_SET_CAP:
+        raise _strand_cap()
+    stack = []
+    push, pop = stack.append, stack.pop
+    for r, nr in enumerate(masks):
+        nb = nr | 1 << r
+        tally[row + nb.bit_count()] += 1
+        decided = (2 << r) - 1
+        if nb & ~decided:
+            push((nb, decided, row))
+        while stack:
+            nb, decided, base = pop()
+            f = nb & ~decided
+            drawn += f.bit_count()
+            if drawn > CONNECTED_SET_CAP:
+                raise _strand_cap()
+            base += row
+            while f:
+                v = f & -f
+                f ^= v
+                decided |= v
+                child = nb | masks[v.bit_length() - 1]
+                tally[base + child.bit_count()] += 1
+                if child & ~decided:
+                    push((child, decided, base))
+    return tally
+
+
 def linear_strand_hochster(g: Graph) -> tuple[int, ...]:
     """Linear strand ``beta_{i,i+1}(R/I)`` for i = 1..n-1 from the connected
     induced sets of ``g``.
@@ -465,11 +527,12 @@ def linear_strand_hochster(g: Graph) -> tuple[int, ...]:
     subgraphs: ``beta_{j-1,j} = sum over j-subsets W of (comp(G[W]) - 1)``.
     A component of G[W] is a connected induced set C with W disjoint from
     N(C), so ``sum_W comp(G[W]) x^|W| = sum_C x^|C| (1+x)^(n-|N[C]|)``.
-    The sets C come from :func:`connected_sets` (reverse search, Avis &
-    Fukuda 1996; Wernicke's ESU, 2006), tallied by ``(|C|, n - |N[C]|)``,
-    so the cost follows the number of connected sets rather than 2^n.
-    ``graphs.cut_component_sum`` computes the same numbers over every
-    subset and is the oracle for this route.
+    The right-hand side reads only the number of sets C of each size and
+    closed-neighbourhood size, which :func:`_connected_set_tally` counts
+    inside its reverse search, so the cost follows the number of connected
+    sets rather than 2^n, and the formula then runs over at most (n+1)^2
+    tally cells.  ``graphs.cut_component_sum`` computes the same numbers
+    over every subset and is the oracle for this route.
 
     Raises :class:`CapExceeded` once more than ``CONNECTED_SET_CAP`` sets
     have been drawn.  A graph on at most 20 vertices has fewer nonempty
@@ -478,17 +541,12 @@ def linear_strand_hochster(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n < 1:
         raise ValueError("need at least one vertex")
-    tally: dict[tuple[int, int], int] = {}
-    for count, (c, nb) in enumerate(connected_sets(g._masks), 1):
-        if count > CONNECTED_SET_CAP:
-            raise CapExceeded(
-                f"linear strand capped at {CONNECTED_SET_CAP} connected induced sets"
-            )
-        key = (c.bit_count(), n - nb.bit_count())
-        tally[key] = tally.get(key, 0) + 1
+    row = n + 1
+    cells = [
+        (i // row, n - i % row, k) for i, k in enumerate(_connected_set_tally(g._masks)) if k
+    ]
     return tuple(
-        sum(k * _comb0(rest, j - size) for (size, rest), k in tally.items())
-        - comb(n, j)
+        sum(k * _comb0(rest, j - size) for size, rest, k in cells) - comb(n, j)
         for j in range(2, n + 1)
     )
 

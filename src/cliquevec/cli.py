@@ -56,6 +56,10 @@ EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 EXIT_CLAIM_FAILURE = 5
 
+# ``random_chordal`` lists the cliques of the whole graph drawn so far for
+# each new vertex, so its cost grows faster than n^2 (about 3 s at n = 1000).
+GEN_CHORDAL_CAP = 1000
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -283,6 +287,10 @@ def cmd_gen(args) -> int:
         raise CliError(EXIT_INPUT, "give exactly one of --chordal or --threshold")
     if args.chordal is not None:
         n, width, seed = args.chordal
+        if n > GEN_CHORDAL_CAP:
+            raise CliError(
+                EXIT_CAP, f"gen --chordal capped at {GEN_CHORDAL_CAP} vertices, got n = {n}"
+            )
         try:
             g = random_chordal(n, width, seed)
         except ValueError as exc:

@@ -212,40 +212,6 @@ def clique_walk(masks: Sequence[int], cand: int, cap: int) -> Iterator[int]:
                 stack.append((clique, t, size))
 
 
-def connected_sets(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Each nonempty connected induced vertex set ``C`` of the graph with
-    adjacency bitmasks ``masks``, exactly once, as ``(C, N[C])`` bitmasks.
-
-    Reverse search from the lowest vertex r of C (Avis & Fukuda 1996;
-    Wernicke's ESU, 2006): a branch holds C, its closed neighbourhood and
-    the decided vertices (those up to r, C itself and the forbidden ones),
-    and splits on the lowest undecided vertex v of N(C) into "v joins C"
-    and "v is forbidden".  Every connected proper superset of C that avoids
-    the decided vertices outside C holds an undecided neighbour of C, so
-    each set is reached on exactly one branch.  The walk runs on an
-    explicit stack of ``(set, closed neighbourhood, decided)`` frames, so
-    its depth is not bounded by the recursion limit, and it does a fixed
-    number of steps per set listed.
-    """
-    for r, nr in enumerate(masks):
-        c = 1 << r
-        nb = nr | c
-        yield c, nb
-        stack = [(c, nb, (c << 1) - 1)]
-        while stack:
-            c, nb, decided = stack.pop()
-            f = nb & ~decided
-            if not f:
-                continue
-            v = f & -f
-            decided |= v
-            stack.append((c, nb, decided))
-            c |= v
-            nb |= masks[v.bit_length() - 1]
-            yield c, nb
-            stack.append((c, nb, decided))
-
-
 def components(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Connected components of ``g``.
 

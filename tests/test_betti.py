@@ -31,6 +31,7 @@ from cliquevec.betti import (
     DEFAULT_FACE_CAP,
     _boundary_rank,
     _component_count,
+    _connected_set_tally,
     _faces_by_dim,
     _facet_faces,
     _flag_adjacency,
@@ -133,13 +134,50 @@ def test_strand_matches_networkx_component_counts():
         assert linear_strand_hochster(g) == expected
 
 
+def test_connected_set_tally_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(10)
+    graphs = [Graph(1), Graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)]), Graph.complete(6)]
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        n = g.n
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(g.edges())
+        expected: dict[tuple[int, int], int] = {}
+        connected = 0
+        for k in range(1, n + 1):
+            for w in combinations(range(n), k):
+                if nx.is_connected(ng.subgraph(w)):
+                    key = (k, k + len(nx.node_boundary(ng, w)))
+                    expected[key] = expected.get(key, 0) + 1
+                    connected += 1
+        tally = _connected_set_tally(g._masks)
+        assert len(tally) == (n + 1) ** 2
+        # every connected induced set counted once, keyed by (|C|, |N[C]|)
+        for size in range(n + 1):
+            for closed in range(n + 1):
+                assert tally[size * (n + 1) + closed] == expected.get((size, closed), 0)
+        assert sum(tally) == connected
+
+
 def test_strand_connected_set_cap():
-    # K_20 has 2^20 - 1 connected sets, one under the cap; K_21 has more
+    # K_20 has 2^20 - 1 connected sets, one under the cap; K_20 plus an
+    # isolated vertex has exactly 2^20, the cap itself; K_20 plus two
+    # isolated vertices has one set more than the cap, and K_21 has more
     assert linear_strand_hochster(Graph.complete(20)) == (0,) * 19
-    with pytest.raises(
-        CapExceeded, match=rf"^linear strand capped at {CONNECTED_SET_CAP} connected induced sets$"
-    ):
-        linear_strand_hochster(Graph.complete(21))
+    assert linear_strand_hochster(Graph(21, combinations(range(20), 2))) == tuple(
+        comb(20, j - 1) for j in range(2, 22)
+    )
+    for g in (Graph(22, combinations(range(20), 2)), Graph.complete(21)):
+        with pytest.raises(
+            CapExceeded,
+            match=rf"^linear strand capped at {CONNECTED_SET_CAP} connected induced sets$",
+        ):
+            linear_strand_hochster(g)
 
 
 def test_reduced_homology_examples(bp12):

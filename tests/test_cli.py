@@ -14,7 +14,7 @@ import cliquevec
 import cliquevec.cliques
 import cliquevec.graphs
 from cliquevec import Graph, chordal_with_connectivities, format_graph, is_chordal, random_chordal
-from cliquevec.cli import main
+from cliquevec.cli import GEN_CHORDAL_CAP, main
 
 from conftest import count_calls
 
@@ -400,6 +400,17 @@ def test_gen_fixtures(capsys):
     assert main(["gen", "--chordal", "1", "1", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1 0"
     assert main(["gen"]) == 2
+
+
+def test_gen_chordal_vertex_cap(capsys):
+    # at the cap the draw runs; one vertex above it exits 4 before drawing
+    assert main(["gen", "--chordal", str(GEN_CHORDAL_CAP), "1", "0"]) == 0
+    assert capsys.readouterr().out.split()[0] == str(GEN_CHORDAL_CAP)
+    over = GEN_CHORDAL_CAP + 1
+    assert main(["gen", "--chordal", str(over), "4", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gen --chordal capped at {GEN_CHORDAL_CAP} vertices, got n = {over}\n"
 
 
 def test_verify_stream_parses_as_json_lines(bp_file, capsys):

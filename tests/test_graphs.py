@@ -24,7 +24,6 @@ from cliquevec.graphs import (
     MAX_PARSED_VERTICES,
     _max_cardinality_search,
     clique_walk,
-    connected_sets,
 )
 from cliquevec.peo import is_valid_peo
 
@@ -294,35 +293,6 @@ def test_clique_walk_matches_networkx():
             assert cliques_of_size(g, size) == [
                 frozenset(c) for c in expected if len(c) == size
             ]
-
-
-def test_connected_sets_match_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(10)
-    graphs = [Graph(1), Graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)]), Graph.complete(6)]
-    for _ in range(60):
-        n = rng.randint(1, 10)
-        p = rng.choice((0.1, 0.3, 0.5, 0.8))
-        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    for g in graphs:
-        n = g.n
-        ng = nx.Graph()
-        ng.add_nodes_from(range(n))
-        ng.add_edges_from(g.edges())
-        expected = {
-            sum(1 << v for v in w)
-            for k in range(1, n + 1)
-            for w in combinations(range(n), k)
-            if nx.is_connected(ng.subgraph(w))
-        }
-        listed = list(connected_sets(g._masks))
-        sets = [c for c, _ in listed]
-        # every connected induced set, each exactly once
-        assert len(sets) == len(set(sets))
-        assert set(sets) == expected
-        for c, nb in listed:
-            boundary = nx.node_boundary(ng, [v for v in range(n) if c >> v & 1])
-            assert nb == c | sum(1 << v for v in boundary)
 
 
 def reference_max_cardinality_search(masks) -> list[int]:
