@@ -11,10 +11,13 @@ together with the identity
 connected induced sets C.  The right-hand side needs only how many sets C
 have each pair ``(|C|, |N[C]|)``, so one reverse search (Avis & Fukuda,
 "Reverse search for enumeration", 1996; Wernicke's ESU, IEEE/ACM TCBB
-2006) reaches each C once and adds it to an (n+1)^2 tally, without
-listing the sets.  It stops with :class:`CapExceeded` as soon as more than
-``CONNECTED_SET_CAP`` (2^20) sets would be drawn, which no graph on at
-most 20 vertices reaches.
+2006) counts them into an (n+1)^2 tally without listing the sets.  Its
+frames merge by ``(N[C], decided)``, the pair that fixes a frame's
+subtree, so each distinct subtree is expanded once for all the sets C that
+reach it.  It stops with :class:`CapExceeded` when the graph has more
+than ``CONNECTED_SET_CAP`` (2^20) connected induced sets, which no graph on
+at most 20 vertices has; the sets are still counted exactly, and the count
+is checked once per distinct frame.
 
 Indexing convention (important): all public outputs are reported for the
 quotient ring R/I.  The closed h-vector formula for ideals with a t-linear
@@ -58,6 +61,8 @@ __all__ = [
 DEFAULT_VERTEX_CAP = 16
 DEFAULT_FACE_CAP = 1 << 14
 CONNECTED_SET_CAP = 1 << 20
+# bits per set size in a packed count: room for any count up to the cap
+_SLOT = CONNECTED_SET_CAP.bit_length() + 1
 
 
 def _comb0(a: int, b: int) -> int:
@@ -469,53 +474,87 @@ def _connected_set_tally(masks: Sequence[int]) -> list[int]:
     ``tally[|C| * (n + 1) + |N[C]|]`` is the number of such C.
 
     Reverse search from the lowest vertex r of C (Avis & Fukuda 1996;
-    Wernicke's ESU, 2006).  A frame is ``(N[C], decided, |C| * (n + 1))``:
-    C itself is never read, only its size and closed neighbourhood, and
-    C lies inside ``decided`` (the vertices up to r, C and the vertices
-    forbidden on this branch).  A frame's children are C + v for each
-    undecided vertex v of its frontier ``N[C] & ~decided``, in ascending
-    order, with the frontier vertices up to v added to ``decided``.  This
-    is the split "v joins C" / "v is forbidden" unrolled: every connected
-    proper superset of C that avoids the forbidden vertices holds a
-    frontier vertex, and its lowest one names its branch, so each set is
-    reached exactly once.  A child with an empty frontier is counted and
-    not pushed.  The walk runs on an explicit stack, so its depth is not
-    bounded by the recursion limit.
+    Wernicke's ESU, 2006).  A frame is ``(N[C], decided)``, where
+    ``decided`` holds the vertices up to r, C and the vertices forbidden on
+    this branch.  A frame's children are C + v for each undecided vertex v
+    of its frontier ``N[C] & ~decided``, in ascending order, with the
+    frontier vertices up to v added to ``decided``.  This is the split
+    "v joins C" / "v is forbidden" unrolled: every connected proper
+    superset of C that avoids the forbidden vertices holds a frontier
+    vertex, and its lowest one names its branch, so each set is reached
+    exactly once.  A child with an empty frontier is counted and not kept.
+
+    C itself is never read, so the subtree under a frame depends only on
+    ``(N[C], decided)``, shifted by |C|; frames that share that pair are
+    merged and expanded once.  A child always has more decided vertices
+    than its parent, so the walk sweeps one dict per ``|decided|``, mapping
+    each pair to ``[packed, lo, count]`` for the sets C that reach it:
+    their sizes packed into one int, slot ``s`` (``_SLOT`` bits wide)
+    counting those of size ``lo + s``; the smallest size ``lo``; and their
+    number ``count``.  Until the end a tally cell in row ``lo`` holds packed
+    sizes in the same way; then each wide cell is spread up its column.
 
     Raises :class:`CapExceeded` once more than ``CONNECTED_SET_CAP`` sets
-    would be drawn; a frontier is added to the count before its children
-    are made, so the check is exact and the walk stops within one frontier
-    of the cap.
+    would be drawn.  The count stays exact: each distinct frame adds its
+    number of sets times its frontier size before its children are made,
+    so the check runs once per distinct frame and fires exactly when the
+    graph has more sets than the cap.  No slot holds more than the count,
+    so none overflows before the check fires.
     """
     n = len(masks)
     row = n + 1
-    tally = [0] * (row * row)
+    w = _SLOT
     drawn = n
     if drawn > CONNECTED_SET_CAP:
         raise _strand_cap()
-    stack = []
-    push, pop = stack.append, stack.pop
+    tally = [0] * (row * row)
+    levels: list = [{} for _ in range(row)]
     for r, nr in enumerate(masks):
         nb = nr | 1 << r
         tally[row + nb.bit_count()] += 1
-        decided = (2 << r) - 1
-        if nb & ~decided:
-            push((nb, decided, row))
-        while stack:
-            nb, decided, base = pop()
+        if nb >> r + 1:
+            levels[r + 1][nb, (2 << r) - 1] = [1, 1, 1]
+    for k in range(1, n):
+        frames, levels[k] = levels[k], None
+        for (nb, decided), (packed, lo, count) in frames.items():
             f = nb & ~decided
-            drawn += f.bit_count()
+            drawn += count * f.bit_count()
             if drawn > CONNECTED_SET_CAP:
                 raise _strand_cap()
-            base += row
+            lo += 1
+            base = lo * row
+            j = k
             while f:
                 v = f & -f
                 f ^= v
                 decided |= v
+                j += 1
                 child = nb | masks[v.bit_length() - 1]
-                tally[base + child.bit_count()] += 1
+                tally[base + child.bit_count()] += packed
                 if child & ~decided:
-                    push((child, decided, base))
+                    key = child, decided
+                    e = levels[j].get(key)
+                    if e is None:
+                        levels[j][key] = [packed, lo, count]
+                    else:
+                        gap = lo - e[1]
+                        if gap >= 0:
+                            e[0] += packed << gap * w
+                        else:
+                            e[0] = (e[0] << -gap * w) + packed
+                            e[1] = lo
+                        e[2] += count
+    # spill from the top row down, so each spill lands on finished counts
+    slot = (1 << w) - 1
+    for base in range(n * row, 0, -row):
+        if max(tally[base:base + row]) >> w:
+            for i in range(base, base + row):
+                x = tally[i]
+                if x >> w:
+                    tally[i] = x & slot
+                    while x := x >> w:
+                        i += row
+                        tally[i] += x & slot
     return tally
 
 
@@ -529,26 +568,32 @@ def linear_strand_hochster(g: Graph) -> tuple[int, ...]:
     N(C), so ``sum_W comp(G[W]) x^|W| = sum_C x^|C| (1+x)^(n-|N[C]|)``.
     The right-hand side reads only the number of sets C of each size and
     closed-neighbourhood size, which :func:`_connected_set_tally` counts
-    inside its reverse search, so the cost follows the number of connected
-    sets rather than 2^n, and the formula then runs over at most (n+1)^2
-    tally cells.  ``graphs.cut_component_sum`` computes the same numbers
-    over every subset and is the oracle for this route.
+    in one reverse search whose frames merge by ``(N[C], decided)``, so the
+    cost follows the number of distinct frames rather than 2^n.  The sum is
+    then taken by Horner's rule in (1+x), one tally column per step from
+    ``|N[C]| = 0`` up: multiply the running polynomial by (1+x) and add
+    the column's counts by size.  That is O(n^2) additions and no
+    binomials.  ``graphs.cut_component_sum`` computes the same numbers over
+    every subset and is the oracle for this route.
 
-    Raises :class:`CapExceeded` once more than ``CONNECTED_SET_CAP`` sets
-    have been drawn.  A graph on at most 20 vertices has fewer nonempty
-    subsets than the cap, so it never raises there.
+    Raises :class:`CapExceeded` once the graph has more than
+    ``CONNECTED_SET_CAP`` connected induced sets; the sets are counted
+    exactly, and the count is checked once per distinct frame.  A graph
+    on at most 20 vertices has fewer nonempty subsets than the cap, so it
+    never raises there.
     """
     n = g.n
     if n < 1:
         raise ValueError("need at least one vertex")
     row = n + 1
-    cells = [
-        (i // row, n - i % row, k) for i, k in enumerate(_connected_set_tally(g._masks)) if k
-    ]
-    return tuple(
-        sum(k * _comb0(rest, j - size) for size, rest, k in cells) - comb(n, j)
-        for j in range(2, n + 1)
-    )
+    tally = _connected_set_tally(g._masks)
+    # after column c, q(x) = sum over C with |N[C]| <= c of
+    # x^|C| (1+x)^(c - |N[C]|), of degree at most c since |C| <= |N[C]|,
+    # so the shift by one degree drops no term
+    q = [0] * row
+    for closed in range(row):
+        q = [a + b + k for a, b, k in zip(q, [0, *q], tally[closed::row])]
+    return tuple(q[j] - comb(n, j) for j in range(2, row))
 
 
 def betti_from_hvector(

@@ -138,6 +138,15 @@ def test_connected_set_tally_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(10)
     graphs = [Graph(1), Graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)]), Graph.complete(6)]
+    # heavy frame merging: stars, a clique beside a cycle, and a 3-tree
+    # (each vertex joined to the three before it)
+    star = Graph(6, [(0, v) for v in range(1, 6)])
+    graphs += [
+        Graph(9, [(0, v) for v in range(1, 9)]),
+        disjoint_union(star, star),
+        disjoint_union(Graph.complete(4), Graph.cycle(5)),
+        Graph(10, [(v - i, v) for v in range(10) for i in (1, 2, 3) if v >= i]),
+    ]
     for _ in range(60):
         n = rng.randint(1, 10)
         p = rng.choice((0.1, 0.3, 0.5, 0.8))
@@ -162,6 +171,25 @@ def test_connected_set_tally_matches_networkx():
             for closed in range(n + 1):
                 assert tally[size * (n + 1) + closed] == expected.get((size, closed), 0)
         assert sum(tally) == connected
+
+
+def test_strand_matches_hvector_route_beyond_networkx():
+    # chordal input has a 2-linear resolution, so the strand is the whole
+    # of beta_1..beta_{n-1}, which the closed h-vector formula gives from
+    # the clique vector alone; these sizes are out of reach of networkx and
+    # the cut sums.  The path merges no frames, the star merges the most.
+    graphs = [
+        random_chordal(30, 3, 0),  # 432,571 connected sets
+        random_chordal(30, 4, 0),
+        Graph.path(200),
+        Graph(20, [(0, v) for v in range(1, 20)]),  # 2^19 + 19 sets
+    ]
+    for g in graphs:
+        c = clique_vector(g)
+        d = len(c)
+        totals = betti_from_hvector(h_from_f((1, *c), d), g.n, d)
+        assert linear_strand_hochster(g) == totals[1 : g.n]
+        assert totals[g.n] == 0
 
 
 def test_strand_connected_set_cap():
