@@ -4,11 +4,19 @@ routes, plus exact simplicial homology over characteristic zero.
 The routes: brute-force Hochster sums over every vertex subset (the full
 table, under a vertex cap and a face cap), the closed h-vector formula, the
 closed b-vector formula, and the linear strand of a graph's clique complex
-from its connected induced sets.  The strand route uses Hochster's formula
-on the strand, ``beta_{j-1,j} = sum over j-subsets W of (comp(G[W]) - 1)``,
-together with the identity
-``sum_W comp(G[W]) x^|W| = sum_C x^|C| (1+x)^(n-|N[C]|)`` over the
-connected induced sets C.  The right-hand side needs only how many sets C
+from its connected induced sets.
+
+The Hochster route scans the 2^(n_i) subsets of each connected component
+on its own: the restriction to W is the disjoint union of the restrictions
+to its parts in the components, so the components' counts by reduced
+homology and size are joined by one rule (the empty complex is the
+identity; otherwise the dimensions add degree by degree and H~_0 gains 1)
+and expanded into Betti entries once.
+
+The strand route uses Hochster's formula on the strand,
+``beta_{j-1,j} = sum over j-subsets W of (comp(G[W]) - 1)``, together with
+the identity ``sum_W comp(G[W]) x^|W| = sum_C x^|C| (1+x)^(n-|N[C]|)``
+over the connected induced sets C.  The right-hand side needs only how many sets C
 have each pair ``(|C|, |N[C]|)``, so one reverse search (Avis & Fukuda,
 "Reverse search for enumeration", 1996; Wernicke's ESU, IEEE/ACM TCBB
 2006) counts them into an (n+1)^2 tally without listing the sets.  Its
@@ -33,7 +41,6 @@ indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb
 from typing import Iterable, Sequence
 
@@ -212,6 +219,18 @@ class BettiTable:
         }
 
 
+def _skeleton(facet_masks: Sequence[int], n: int) -> list[int]:
+    """Adjacency masks of the 1-skeleton of the complex with these facets."""
+    adj = [0] * n
+    for fm in facet_masks:
+        t = fm
+        while t:
+            b = t & -t
+            t ^= b
+            adj[b.bit_length() - 1] |= fm ^ b
+    return adj
+
+
 def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
     """Adjacency masks of the 1-skeleton when the complex is flag, else None.
 
@@ -219,17 +238,12 @@ def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
     every vertex is a face and the facets are the maximal cliques of the
     1-skeleton.
     """
-    adj = [0] * n
     covered = 0
     for fm in facet_masks:
         covered |= fm
-        t = fm
-        while t:
-            b = t & -t
-            t ^= b
-            adj[b.bit_length() - 1] |= fm ^ b
     if covered != (1 << n) - 1:
         return None
+    adj = _skeleton(facet_masks, n)
     if set(_bron_kerbosch(adj, covered)) != set(facet_masks):
         return None
     return adj
@@ -242,7 +256,10 @@ def _hochster_scan(
     hi: int,
     face_cap: int,
 ) -> dict:
-    """Hochster contributions of the vertex subsets with masks in [lo, hi).
+    """Reduced homology of the restrictions to the vertex subsets W with
+    masks in [lo, hi), counted by (dims, |W|): ``counts[dims, j]`` is the
+    number of such W of size j whose restriction has the reduced homology
+    ``dims`` (``dims[k + 1] = dim H~_k``, trailing zeros stripped).
 
     With ``adj`` (flag input) W is visited as its lowest vertex b plus
     ``rest = W - b``, grouped by b from the top vertex down, so the
@@ -251,27 +268,30 @@ def _hochster_scan(
     contractible link (b dominated, or simplicial with a neighbour in W)
     keeps the entry of ``rest``, an empty link adds a point from a list
     memo, and any other goes through :meth:`_FlagScan.glue`; chordal input
-    in elimination order only meets the first two.  Counts are kept per
-    (|W|, id) and expanded into Betti entries once at the end.  Without
-    ``adj`` the facets are restricted and re-maximalized, and the faces of
-    a restriction are the subsets of its facets.
+    in elimination order only meets the first two.  Without ``adj`` the
+    facets are restricted and re-maximalized, cones are contractible, and
+    the faces of any other restriction are the subsets of its facets.
     """
-    entries: dict = {}
     if adj is None:
+        counts: dict = {}
         for wmask in range(lo, hi):
             sub = _maximal_masks(fm & wmask for fm in facet_masks)
-            if sub:
+            if not sub:
+                dims = (1,)  # restriction is the empty complex
+            else:
                 common = sub[0]
                 for c in sub[1:]:
                     common &= c
                 if common:
-                    continue  # cone, hence contractible: no contribution
-                by_dim = _faces_by_dim(_facet_faces(sub), face_cap)
-                dims = _homology_dims(by_dim, _component_count(sub))
-            else:
-                dims = (1,)  # restriction is the empty complex
-            _add_dims(entries, dims, wmask.bit_count(), 1)
-        return entries
+                    dims = ()  # cone, hence contractible
+                else:
+                    by_dim = _faces_by_dim(_facet_faces(sub), face_cap)
+                    dims = _homology_dims(by_dim, _component_count(sub))
+                    while dims and not dims[-1]:
+                        dims = dims[:-1]
+            key = dims, wmask.bit_count()
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     scan = _FlagScan(adj, hi, face_cap)
     table, plus, counts, entry, glue = scan.table, scan.plus, scan.counts, scan.entry, scan.glue
@@ -292,11 +312,12 @@ def _hochster_scan(
                 t = glue(t, c) or entry(rest | b)
             table[rest | b] = t
             counts[t][rest.bit_count() + 1] += 1
-    for dims, row in zip(scan.dims_of, counts):
-        for j, count in enumerate(row):
-            if count:
-                _add_dims(entries, dims, j, count)
-    return entries
+    return {
+        (dims, j): count
+        for dims, row in zip(scan.dims_of, counts)
+        for j, count in enumerate(row)
+        if count
+    }
 
 
 _EMPTY, _CONTRACTIBLE = 1, 2  # ids of the dims (1,) and () in every scan
@@ -377,14 +398,47 @@ class _FlagScan:
         return t
 
 
-def _add_dims(entries: dict, dims: Sequence[int], j: int, count: int) -> None:
-    """Add the Hochster contributions of ``count`` subsets W of size ``j``
-    whose restrictions have reduced homology ``dims``: ``dim H~_k`` goes to
-    ``beta_{j-k-1, j}``."""
-    for kk, h in enumerate(dims):
-        if h:
-            key = (j - kk, j)
-            entries[key] = entries.get(key, 0) + h * count
+def _join(a: dict, b: dict) -> dict:
+    """Counts by (dims, |W|) of the disjoint union of two complexes from the
+    counts of each (see :func:`_hochster_scan`).
+
+    A subset of the union is a pair of subsets, one of each side, and its
+    restriction is the disjoint union of theirs.  The empty complex
+    ``(1,)`` is the identity; for two nonempty complexes the reduced
+    homology adds degree by degree, and H~_0 gains 1 for the one more
+    component.
+    """
+    union: dict = {}
+    out: dict = {}
+    for (x, i), p in a.items():
+        for (y, j), q in b.items():
+            dims = union.get((x, y))
+            if dims is None:
+                if x == (1,) or y == (1,):
+                    dims = y if x == (1,) else x
+                else:
+                    sums = [0] * max(len(x), len(y), 2)
+                    for k, h in (*enumerate(x), *enumerate(y)):
+                        sums[k] += h
+                    sums[1] += 1
+                    dims = tuple(sums)
+                union[x, y] = dims
+            key = dims, i + j
+            out[key] = out.get(key, 0) + p * q
+    return out
+
+
+def _betti_entries(counts: dict) -> dict:
+    """Betti entries of counts by (dims, |W|) from :func:`_hochster_scan`:
+    ``count`` subsets W of size j with ``dim H~_k = h`` add ``h * count``
+    to ``beta_{j-k-1, j}``."""
+    entries: dict = {}
+    for (dims, j), count in counts.items():
+        for kk, h in enumerate(dims):
+            if h:
+                key = (j - kk, j)
+                entries[key] = entries.get(key, 0) + h * count
+    return entries
 
 
 def _check_vertex_cap(n: int, vertex_cap: int) -> None:
@@ -408,60 +462,86 @@ def full_betti_hochster(
     homology engine above is used directly, with boundary ranks exact over
     Q.  Cost is exponential in n, hence the vertex cap.
 
-    The path follows the input.  When ``cx`` is a graph G, or a flag
-    complex (the clique complex of its 1-skeleton G, checked by listing
-    the maximal cliques of G), G is relabelled by one maximum cardinality
-    search, so that the vertex eliminated first is vertex 0, and one scan
-    fills a table of 2^n slots (about 8 MB at n = 20) by vertex mask.  Each
+    The input is split into the connected components of its 1-skeleton G
+    (a ghost vertex is a component of its own), and each component's
+    2^(n_i) subsets are scanned on their own and counted by reduced
+    homology and size.  The restriction to W is the disjoint union of the
+    restrictions to its parts in the components, so the counts are joined
+    by :func:`_join` and expanded into Betti entries once, at the end.
+
+    G is relabelled by one maximum cardinality search, so that position p
+    of its elimination order becomes vertex p; the search finishes each
+    component before it starts the next, so each component is a run of
+    consecutive labels.  The path of a component follows its input.  When
+    ``cx`` is a graph, or the component is flag (the clique complex of its
+    1-skeleton, checked by listing the maximal cliques), one scan fills a
+    table of 2^(n_i) slots (about 8 MB at n_i = 20) by vertex mask.  Each
     entry is read off the entries of W - v and of the link N(v) & W by one
     Mayer-Vietoris rule (:meth:`_FlagScan.glue`); only a W refused at every
-    vertex, such as two disjoint 4-cycles, has its cliques passed to the
-    homology engine.  Other complexes (ghost vertices, complex files) take
-    the facet path: restrict the facets to W, keep the maximal ones, skip
-    cones and take the faces as subsets of the facets.  ``face_cap``
-    applies to each restriction the engine sees.  Restrictions to at most
-    14 vertices have at most 16,383 faces, so the default cap can fire only
-    from 15 vertices on.
+    vertex, such as the two 4-cycles of two 4-cycles joined through a hub
+    vertex, has its cliques passed to the homology engine.  Other
+    components (ghost vertices, non-flag complexes) take the facet path:
+    restrict the facets to W, keep the maximal ones, skip cones and take
+    the faces as subsets of the facets.  ``face_cap`` applies to each
+    restriction the engine sees.  Restrictions to at most 14 vertices have at most 16,383 faces,
+    so the default cap can fire only from 15 vertices on.
 
-    With ``jobs > 1`` the subset range is split into contiguous blocks whose
-    partial tables are merged in fixed order; each block keeps its own
-    homology table and fills the entries below its range on demand, and
-    results are bit-identical to the sequential run.
+    With ``jobs > 1`` each component's subset range is split into
+    contiguous blocks whose partial counts are merged in fixed order; each
+    block keeps its own homology table and fills the entries below its
+    range on demand, and results are bit-identical to the sequential run.
     """
     n = cx.n
     _check_vertex_cap(n, vertex_cap)
-    if isinstance(cx, Graph):
-        facet_masks, adj = (), cx._masks
-    else:
-        facet_masks = cx._masks
-        adj = _flag_adjacency(facet_masks, n)
-    if adj is not None:
-        # relabel so that position p of an elimination order becomes vertex p
-        order = _max_cardinality_search(adj)
-        pos = [0] * n
-        for p, v in enumerate(order):
-            pos[v] = p
-        adj = [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
-    total = 1 << n
-    if jobs <= 1 or total < 64:
-        entries = _hochster_scan(facet_masks, adj, 0, total, face_cap)
+    graph = isinstance(cx, Graph)
+    skeleton = cx._masks if graph else _skeleton(cx._masks, n)
+    # relabel so that position p of an elimination order becomes vertex p
+    order = _max_cardinality_search(skeleton)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+
+    def relabel(mask: int) -> int:
+        return sum(1 << pos[u] for u in _bits(mask))
+
+    adj = [relabel(skeleton[v]) for v in order]
+    facet_masks = () if graph else [relabel(fm) for fm in cx._masks]
+    parts = []  # (facets, adjacency or None, size) of each component
+    start = reach = 0
+    for p, nb in enumerate(adj):
+        reach = max(reach, nb.bit_length() - 1)
+        if reach <= p:  # no vertex up to p has a neighbour past p
+            size = p + 1 - start
+            facets = [fm >> start for fm in facet_masks if fm >> start & (1 << size) - 1]
+            if graph:
+                part = [m >> start for m in adj[start : p + 1]]
+            else:
+                part = _flag_adjacency(facets, size)
+            parts.append((facets, part, size))
+            start = p + 1
+    owners, tasks = [], []  # one _hochster_scan call per block of subsets
+    for c, (facets, part, size) in enumerate(parts):
+        total = 1 << size
+        step = total if jobs <= 1 or total < 64 else -(-total // min(jobs, 64))
+        for lo in range(0, total, step):
+            owners.append(c)
+            tasks.append((facets, part, lo, min(lo + step, total), face_cap))
+    if len(tasks) == len(parts):
+        scans = [_hochster_scan(*task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = min(jobs, 64)
-        step = (total + jobs - 1) // jobs
-        los = range(0, total, step)
-        his = [min(lo + step, total) for lo in los]
-        entries = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _hochster_scan,
-                repeat(facet_masks), repeat(adj), los, his, repeat(face_cap),
-            )
-            for part in parts:
-                for key, v in part.items():
-                    entries[key] = entries.get(key, 0) + v
-    return BettiTable(n, entries)
+        with ProcessPoolExecutor(max_workers=min(jobs, 64)) as pool:
+            done = pool.map(_hochster_scan, *zip(*tasks))
+            scans = [{} for _ in parts]
+            for c, block in zip(owners, done):
+                scan = scans[c]
+                for key, v in block.items():
+                    scan[key] = scan.get(key, 0) + v
+    counts, *rest = scans or [{((1,), 0): 1}]  # n = 0: the empty complex
+    for scan in rest:
+        counts = _join(counts, scan)
+    return BettiTable(n, _betti_entries(counts))
 
 
 def _strand_cap() -> CapExceeded:
@@ -643,19 +723,19 @@ def betti_from_bvector(b: Sequence[int], n_vars: int, d: int) -> tuple[int, ...]
         for j in range(1, d + 1)
     )]
 
-    out = [0] * (n_vars + 1)
-    out[0] = 1
-    for ridx in range(1, n_vars + 1):
-        i = ridx - 1
-        acc = 0
-        for ell in range(2 + i + 1):
-            m = 2 + i - ell
-            inner = sum(
-                (-1) ** (m - j) * _comb0(d - j, m - j) * c_ext[j]
-                for j in range(min(m, d) + 1)
-            )
-            acc += (-1) ** (ell + i + 1) * inner * _comb0(n_vars - d, ell)
-        out[ridx] = acc
+    # the h-vector term of the 2-linear formula at m = 2 + i - ell, which
+    # vanishes past m = d since then every C(d - j, m - j) is 0
+    inner = [
+        sum((-1) ** (m - j) * comb(d - j, m - j) * c_ext[j] for j in range(m + 1))
+        for m in range(d + 1)
+    ]
+    row = [(-1) ** ell * comb(n_vars - d, ell) for ell in range(n_vars - d + 1)]
+    out = [1]
+    for i in range(n_vars):
+        m = 2 + i
+        ells = range(max(0, m - d), min(m, n_vars - d) + 1)
+        acc = sum(row[ell] * inner[m - ell] for ell in ells)
+        out.append(acc if i % 2 else -acc)  # the sign (-1)^(i + 1)
     return tuple(out)
 
 

@@ -29,6 +29,7 @@ import cliquevec.betti as betti
 from cliquevec.betti import (
     CONNECTED_SET_CAP,
     DEFAULT_FACE_CAP,
+    _betti_entries,
     _boundary_rank,
     _component_count,
     _connected_set_tally,
@@ -38,7 +39,7 @@ from cliquevec.betti import (
     _hochster_scan,
     _homology_dims,
 )
-from cliquevec.complexes import CapExceeded
+from cliquevec.complexes import CapExceeded, restrict
 
 # The 6-vertex real projective plane: H~_1 = Z/2, so every reduced homology
 # group vanishes over Q but not over GF(2).
@@ -60,11 +61,21 @@ def disjoint_union(*graphs):
     return Graph(off, edges)
 
 
-# Graphs with a restriction where the Mayer-Vietoris glue is refused at every
-# vertex, so the homology engine runs on the flag path
+def joined_by_hub(g, u, v):
+    """``g`` plus one vertex adjacent to ``u`` and ``v``."""
+    return Graph(g.n + 1, [*g.edges(), (u, g.n), (v, g.n)])
+
+
+# Two disjoint cycles: the scan of the whole graph refuses the Mayer-Vietoris
+# glue at every vertex of the union of the cycles, but the table splits them
+# into components first, so only a raw scan reaches the homology engine
 TWO_C4 = disjoint_union(Graph.cycle(4), Graph.cycle(4))
 TWO_C5 = disjoint_union(Graph.cycle(5), Graph.cycle(5))
 TWO_OCTAHEDRA = disjoint_union(OCTAHEDRON, OCTAHEDRON)
+# The same cycles joined through a hub vertex adjacent to one vertex of each:
+# connected, and the restriction to the two cycles reaches the engine
+HUB_C4 = joined_by_hub(TWO_C4, 0, 4)
+HUB_C5 = joined_by_hub(TWO_C5, 0, 5)
 
 
 def table_of(g, **kw):
@@ -241,17 +252,19 @@ def test_reduced_homology_cap():
 def test_face_cap_on_the_flag_path():
     # The octahedron is read off the table (the octahedron minus a vertex
     # is a cone, its link a 4-cycle), so no restriction reaches the engine.
-    # In two disjoint 4-cycles, deleting any vertex leaves H~_0 of rank 1
-    # and its link, two points, has H~_0 of rank 1 too, so the glue is
-    # refused at every vertex: the engine sees the whole graph, 8 + 8 faces.
+    # In the two 4-cycles of HUB_C4, deleting any vertex leaves H~_0 of
+    # rank 1 and its link, two points, has H~_0 of rank 1 too, so the glue
+    # is refused at every vertex: the engine sees both cycles, 8 + 8 faces.
+    # TWO_C4 is scanned one cycle at a time, so the engine never runs.
     masks = masks_of(clique_complex(OCTAHEDRON))
     assert _flag_adjacency(masks, 6) is not None
     assert table_of(OCTAHEDRON, face_cap=1).entries == {
         (0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1,
     }
     with pytest.raises(CapExceeded, match=r"^face count exceeds cap 15$"):
-        table_of(TWO_C4, face_cap=15)
-    table_of(TWO_C4, face_cap=16)
+        table_of(HUB_C4, face_cap=15)
+    table_of(HUB_C4, face_cap=16)
+    assert table_of(TWO_C4, face_cap=1) == table_of(TWO_C4)
 
 
 def test_hochster_table_examples(bp12):
@@ -296,7 +309,7 @@ def cycle_with_leaves(k, ends):
 def test_hochster_scan_split_into_blocks_matches_one_block():
     # A block [lo, hi) looks up masks below lo that it has not scanned
     graphs = [gnp(n, 0.45, 50 + n) for n in (9, 10, 11)]
-    graphs += [cycle_with_leaves(7, range(7)), TWO_C4, TWO_C5, TWO_OCTAHEDRA]
+    graphs += [cycle_with_leaves(7, range(7)), TWO_C4, TWO_C5, TWO_OCTAHEDRA, HUB_C4, HUB_C5]
     for g in graphs:
         masks = masks_of(clique_complex(g))
         adj = _flag_adjacency(masks, g.n)
@@ -311,11 +324,118 @@ def test_hochster_scan_split_into_blocks_matches_one_block():
             assert merged == whole, (g.n, a, b)
 
 
+def interleaved_union(parts, rng):
+    """The disjoint union of the complexes ``parts``, with the vertices of
+    the parts shuffled together (each part keeps its own vertex order)."""
+    owner = [k for k, cx in enumerate(parts) for _ in range(cx.n)]
+    rng.shuffle(owner)
+    slots = [[v for v, k in enumerate(owner) if k == i] for i in range(len(parts))]
+    facets = [[slot[v] for v in f] for cx, slot in zip(parts, slots) for f in cx.facets]
+    return SimplicialComplex(len(owner), facets)
+
+
+def hochster_by_restriction(cx):
+    """Hochster's formula with one homology engine call per vertex subset W."""
+    entries = {}
+    for j in range(cx.n + 1):
+        for w in combinations(range(cx.n), j):
+            for kk, h in enumerate(reduced_homology_ranks(restrict(cx, w))):
+                if h:
+                    entries[j - kk, j] = entries.get((j - kk, j), 0) + h
+    return entries
+
+
+def test_disconnected_tables_match_restriction_oracle():
+    # Each component is scanned on its own and the parts joined by the
+    # disjoint-union rule; the oracle runs the homology engine on every
+    # restriction of the whole input instead.
+    rng = random.Random(1818)
+    rp2_facets = [sorted(f) for f in RP2.facets]
+    cxs = [
+        SimplicialComplex(7),  # seven ghost vertices
+        clique_complex(Graph(6)),  # six isolated points
+        clique_complex(disjoint_union(Graph(3), Graph.path(2))),
+        clique_complex(TWO_OCTAHEDRA),
+        SimplicialComplex(8, [*rp2_facets, (6, 7)]),  # RP^2 and an edge
+        SimplicialComplex(7, rp2_facets),  # RP^2 and a ghost vertex
+        SimplicialComplex(3, [{0, 1}]),  # an edge and a ghost vertex
+    ]
+    for _ in range(40):
+        parts = []
+        room = 9
+        while room >= 1 and (len(parts) < 2 or rng.random() < 0.5):
+            k = rng.randint(1, min(room, 5))
+            room -= k
+            kind = rng.randrange(4)
+            seed = rng.getrandbits(32)
+            if kind == 0:
+                parts.append(clique_complex(gnp(k, rng.choice((0.3, 0.6, 0.9)), seed)))
+            elif kind == 1:
+                parts.append(clique_complex(Graph.cycle(k) if k >= 3 else Graph(k)))
+            elif kind == 2:
+                parts.append(clique_complex(random_chordal(k, min(k, 2), seed)))
+            else:  # any complex, ghost vertices and non-flag faces allowed
+                facets = [rng.sample(range(k), rng.randint(1, k)) for _ in range(rng.randint(0, 3))]
+                parts.append(SimplicialComplex(k, facets))
+        cxs.append(interleaved_union(parts, rng))
+    for cx in cxs:
+        assert full_betti_hochster(cx).entries == hochster_by_restriction(cx), cx
+
+
+def test_ghost_vertex_leaves_the_flag_path_to_the_other_components(monkeypatch):
+    # The ghost vertex makes the complex non-flag, but it is a component of
+    # its own: the octahedron beside it still takes the flag scan, where no
+    # restriction reaches the homology engine
+    octahedron = [sorted(f) for f in clique_complex(OCTAHEDRON).facets]
+    cx = SimplicialComplex(7, octahedron)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _homology_dims(*args)
+
+    monkeypatch.setattr(betti, "_homology_dims", counting)
+    table = full_betti_hochster(cx)
+    assert calls == []
+    assert table.entries == hochster_by_restriction(cx)
+
+
+@st.composite
+def graph_pairs(draw, max_n=5):
+    graphs = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graphs.append(Graph(n, [e for e, k in zip(pairs, keep) if k]))
+    return graphs
+
+
+@given(graph_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_disjoint_union_table_independent_of_interleaving(pair, rng):
+    g, h = pair
+    mixed = interleaved_union([clique_complex(g), clique_complex(h)], rng)
+    assert full_betti_hochster(mixed) == full_betti_hochster(disjoint_union(g, h))
+
+
+def test_hochster_parallel_matches_sequential_on_disconnected_input():
+    # G(8, 0.5) has 256 subsets, so its scan is split across the pool;
+    # the cycle and the triangle are scanned whole
+    rng = random.Random(77)
+    parts = [gnp(8, 0.5, 8), Graph.cycle(5), Graph.complete(3)]
+    cx = interleaved_union([clique_complex(p) for p in parts], rng)
+    g = Graph(cx.n, [e for f in cx.facets for e in combinations(sorted(f), 2)])
+    for x in (g, cx):
+        assert full_betti_hochster(x, jobs=2) == full_betti_hochster(x)
+
+
 def test_hochster_computes_each_core_once(monkeypatch):
     # Every restriction of C5 with leaves on 0..3, of the octahedron and of
     # G(12, 0.45) is read off the table by the Mayer-Vietoris glue.  In two
-    # disjoint cycles only the whole graph is refused at every vertex, so
-    # the homology engine runs once.
+    # cycles joined through a hub only the two cycles are refused at every
+    # vertex, so the homology engine runs once.  Two disjoint cycles are
+    # scanned one cycle at a time, so the engine never runs.
     calls = []
 
     def counting(by_dim, components):
@@ -330,7 +450,9 @@ def test_hochster_computes_each_core_once(monkeypatch):
         (4, 5): 190, (4, 6): 4, (5, 6): 109, (5, 7): 6, (6, 7): 33,
         (6, 8): 4, (7, 8): 4, (7, 9): 1,
     }
-    for g, want in ((OCTAHEDRON, 0), (gnp(12, 0.45, 12), 0), (TWO_C4, 1), (TWO_C5, 1)):
+    for g, want in (
+        (OCTAHEDRON, 0), (gnp(12, 0.45, 12), 0), (HUB_C4, 1), (HUB_C5, 1), (TWO_C4, 0), (TWO_C5, 0)
+    ):
         calls.clear()
         table_of(g)
         assert len(calls) == want, g.n
@@ -556,4 +678,4 @@ def test_chordal_table_independent_of_labelling():
             assert table_of(h, vertex_cap=12).entries == want
             masks = masks_of(clique_complex(h))
             raw = _hochster_scan(masks, list(h._masks), 0, 1 << n, DEFAULT_FACE_CAP)
-            assert raw == want
+            assert _betti_entries(raw) == want
