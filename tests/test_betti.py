@@ -76,6 +76,9 @@ TWO_OCTAHEDRA = disjoint_union(OCTAHEDRON, OCTAHEDRON)
 # connected, and the restriction to the two cycles reaches the engine
 HUB_C4 = joined_by_hub(TWO_C4, 0, 4)
 HUB_C5 = joined_by_hub(TWO_C5, 0, 5)
+# A ghost vertex makes the complex non-flag, but it is a component of its
+# own, so the octahedron beside it still takes the flag scan
+OCTAHEDRON_AND_GHOST = SimplicialComplex(7, [sorted(f) for f in clique_complex(OCTAHEDRON).facets])
 
 
 def table_of(g, **kw):
@@ -359,6 +362,7 @@ def test_disconnected_tables_match_restriction_oracle():
         SimplicialComplex(8, [*rp2_facets, (6, 7)]),  # RP^2 and an edge
         SimplicialComplex(7, rp2_facets),  # RP^2 and a ghost vertex
         SimplicialComplex(3, [{0, 1}]),  # an edge and a ghost vertex
+        OCTAHEDRON_AND_GHOST,
     ]
     for _ in range(40):
         parts = []
@@ -375,29 +379,11 @@ def test_disconnected_tables_match_restriction_oracle():
             elif kind == 2:
                 parts.append(clique_complex(random_chordal(k, min(k, 2), seed)))
             else:  # any complex, ghost vertices and non-flag faces allowed
-                facets = [rng.sample(range(k), rng.randint(1, k)) for _ in range(rng.randint(0, 3))]
-                parts.append(SimplicialComplex(k, facets))
+                sizes = [rng.randint(1, k) for _ in range(rng.randint(0, 3))]
+                parts.append(SimplicialComplex(k, [rng.sample(range(k), m) for m in sizes]))
         cxs.append(interleaved_union(parts, rng))
     for cx in cxs:
         assert full_betti_hochster(cx).entries == hochster_by_restriction(cx), cx
-
-
-def test_ghost_vertex_leaves_the_flag_path_to_the_other_components(monkeypatch):
-    # The ghost vertex makes the complex non-flag, but it is a component of
-    # its own: the octahedron beside it still takes the flag scan, where no
-    # restriction reaches the homology engine
-    octahedron = [sorted(f) for f in clique_complex(OCTAHEDRON).facets]
-    cx = SimplicialComplex(7, octahedron)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _homology_dims(*args)
-
-    monkeypatch.setattr(betti, "_homology_dims", counting)
-    table = full_betti_hochster(cx)
-    assert calls == []
-    assert table.entries == hochster_by_restriction(cx)
 
 
 @st.composite
@@ -435,7 +421,8 @@ def test_hochster_computes_each_core_once(monkeypatch):
     # G(12, 0.45) is read off the table by the Mayer-Vietoris glue.  In two
     # cycles joined through a hub only the two cycles are refused at every
     # vertex, so the homology engine runs once.  Two disjoint cycles are
-    # scanned one cycle at a time, so the engine never runs.
+    # scanned one cycle at a time, and the octahedron beside a ghost vertex
+    # on its own, so the engine never runs.
     calls = []
 
     def counting(by_dim, components):
@@ -456,6 +443,9 @@ def test_hochster_computes_each_core_once(monkeypatch):
         calls.clear()
         table_of(g)
         assert len(calls) == want, g.n
+    calls.clear()
+    full_betti_hochster(OCTAHEDRON_AND_GHOST)
+    assert calls == []
 
 
 def test_strand_matches_full_table(corpus300):
