@@ -252,29 +252,28 @@ def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
 def _hochster_scan(
     facet_masks: Sequence[int],
     adj: Sequence[int] | None,
-    lo: int,
-    hi: int,
+    size: int,
     face_cap: int,
 ) -> dict:
-    """Reduced homology of the restrictions to the vertex subsets W with
-    masks in [lo, hi), counted by (dims, |W|): ``counts[dims, j]`` is the
-    number of such W of size j whose restriction has the reduced homology
+    """Reduced homology of the restrictions to the subsets W of the
+    ``size`` vertices, counted by (dims, |W|): ``counts[dims, j]`` is the
+    number of W of size j whose restriction has the reduced homology
     ``dims`` (``dims[k + 1] = dim H~_k``, trailing zeros stripped).
 
     With ``adj`` (flag input) W is visited as its lowest vertex b plus
     ``rest = W - b``, grouped by b from the top vertex down, so the
     :class:`_FlagScan` entries of ``rest`` and of the link ``N(b) & rest``
-    are known when W comes up (masks below ``lo`` are filled on demand).  A
-    contractible link (b dominated, or simplicial with a neighbour in W)
-    keeps the entry of ``rest``, an empty link adds a point from a list
-    memo, and any other goes through :meth:`_FlagScan.glue`; chordal input
-    in elimination order only meets the first two.  Without ``adj`` the
-    facets are restricted and re-maximalized, cones are contractible, and
-    the faces of any other restriction are the subsets of its facets.
+    are known when W comes up.  A contractible link (b dominated, or
+    simplicial with a neighbour in W) keeps the entry of ``rest``, an empty
+    link adds a point from a list memo, and any other goes through
+    :meth:`_FlagScan.glue`; chordal input in elimination order only meets
+    the first two.  Without ``adj`` the facets are restricted and
+    re-maximalized, cones are contractible, and the faces of any other
+    restriction are the subsets of its facets.
     """
     if adj is None:
         counts: dict = {}
-        for wmask in range(lo, hi):
+        for wmask in range(1 << size):
             sub = _maximal_masks(fm & wmask for fm in facet_masks)
             if not sub:
                 dims = (1,)  # restriction is the empty complex
@@ -293,19 +292,16 @@ def _hochster_scan(
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    scan = _FlagScan(adj, hi, face_cap)
+    scan = _FlagScan(adj, 1 << size, face_cap)
     table, plus, counts, entry, glue = scan.table, scan.plus, scan.counts, scan.entry, scan.glue
     empty, contractible = _EMPTY, _CONTRACTIBLE
-    if lo == 0:
-        counts[empty][0] += 1
-    for v in reversed(range(len(adj))):
+    counts[empty][0] += 1
+    for v in reversed(range(size)):
         b = 1 << v
         nb = adj[v]
-        step = b << 1
-        first = max(0, -((b - lo) // step) * step)  # first rest with W >= lo
-        for rest in range(first, hi - b, step):
-            t = table[rest] or entry(rest)
-            c = table[nb & rest] or entry(nb & rest)
+        for rest in range(0, (1 << size) - b, b << 1):
+            t = table[rest]
+            c = table[nb & rest]
             if c == empty:
                 t = plus[t] or glue(t, c)
             elif c != contractible:
@@ -450,7 +446,6 @@ def full_betti_hochster(
     cx: SimplicialComplex | Graph,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     face_cap: int = DEFAULT_FACE_CAP,
-    jobs: int = 1,
 ) -> BettiTable:
     """Full graded Betti table of R/I_cx by brute-force Hochster sums.
 
@@ -485,11 +480,6 @@ def full_betti_hochster(
     the faces as subsets of the facets.  ``face_cap`` applies to each
     restriction the engine sees.  Restrictions to at most 14 vertices have at most 16,383 faces,
     so the default cap can fire only from 15 vertices on.
-
-    With ``jobs > 1`` each component's subset range is split into
-    contiguous blocks whose partial counts are merged in fixed order; each
-    block keeps its own homology table and fills the entries below its
-    range on demand, and results are bit-identical to the sequential run.
     """
     n = cx.n
     _check_vertex_cap(n, vertex_cap)
@@ -519,25 +509,7 @@ def full_betti_hochster(
                 part = _flag_adjacency(facets, size)
             parts.append((facets, part, size))
             start = p + 1
-    owners, tasks = [], []  # one _hochster_scan call per block of subsets
-    for c, (facets, part, size) in enumerate(parts):
-        total = 1 << size
-        step = total if jobs <= 1 or total < 64 else -(-total // min(jobs, 64))
-        for lo in range(0, total, step):
-            owners.append(c)
-            tasks.append((facets, part, lo, min(lo + step, total), face_cap))
-    if len(tasks) == len(parts):
-        scans = [_hochster_scan(*task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, 64)) as pool:
-            done = pool.map(_hochster_scan, *zip(*tasks))
-            scans = [{} for _ in parts]
-            for c, block in zip(owners, done):
-                scan = scans[c]
-                for key, v in block.items():
-                    scan[key] = scan.get(key, 0) + v
+    scans = [_hochster_scan(*part, face_cap) for part in parts]
     counts, *rest = scans or [{((1,), 0): 1}]  # n = 0: the empty complex
     for scan in rest:
         counts = _join(counts, scan)
@@ -689,17 +661,15 @@ def betti_from_hvector(
     if n_vars < d:
         raise ValueError("need n_vars >= d")
 
-    def hv(k: int) -> int:
-        return h[k] if 0 <= k < len(h) else 0
-
-    out = [0] * (n_vars + 1)
-    out[0] = 1
-    for ridx in range(1, n_vars + 1):
-        i = ridx - 1
-        out[ridx] = sum(
-            (-1) ** (ell + i + 1) * hv(t + i - ell) * _comb0(n_vars - d, ell)
-            for ell in range(t + i + 1)
-        )
+    # out[i + 1] = (-1)^(i + 1) sum over ell of (-1)^ell C(n_vars - d, ell)
+    # h[t + i - ell], where h and the binomial vanish outside their ranges
+    row = [(-1) ** ell * comb(n_vars - d, ell) for ell in range(n_vars - d + 1)]
+    out = [1]
+    for i in range(n_vars):
+        m = t + i
+        ells = range(max(0, m - len(h) + 1), min(m, n_vars - d) + 1)
+        acc = sum(row[ell] * h[m - ell] for ell in ells)
+        out.append(acc if i % 2 else -acc)  # the sign (-1)^(i + 1)
     return tuple(out)
 
 

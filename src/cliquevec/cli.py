@@ -205,7 +205,7 @@ def cmd_betti(args) -> int:
             raise CliError(EXIT_INPUT, f"bad complex file: {exc}") from exc
         if args.method not in ("hochster", "all"):
             raise CliError(EXIT_PRECONDITION, "complex input supports --method hochster")
-        table = full_betti_hochster(cx, vertex_cap=args.cap, jobs=args.jobs)
+        table = full_betti_hochster(cx, vertex_cap=args.cap)
         out = {
             "schema": SCHEMA,
             "method": "hochster",
@@ -233,7 +233,7 @@ def cmd_betti(args) -> int:
 
     results: dict = {}
     if "hochster" in methods:
-        table = full_betti_hochster(g, vertex_cap=args.cap, jobs=args.jobs)
+        table = full_betti_hochster(g, vertex_cap=args.cap)
         results["hochster"] = table.to_json_dict()
         out["profile"] = homological_profile(table).to_dict()
     if "hvector" in methods:
@@ -339,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap for the Hochster scan"
     )
     p.add_argument("--complex", action="store_true", help="input is a complex file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; the scan runs on one core"
+    )
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("verify", help="run the structural claim suite")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -228,10 +229,11 @@ def test_betti_strand_connected_set_cap(tmp_path):
     assert proc.stderr == "error: linear strand capped at 1048576 connected induced sets\n"
 
 
-def test_one_parser_serves_successive_calls(bp_file, c5_file, capfd):
+def test_one_parser_serves_successive_calls(bp_file, c5_file, capfd, monkeypatch):
     """``betti``, ``invariants`` and ``betti`` again with other flags, in one
     process, print exactly what fresh processes print, and no flag or
-    default carries over from one call to the next."""
+    default carries over from one call to the next.  ``--jobs`` is accepted
+    and has no effect."""
     calls = [
         ["betti", bp_file, "--method", "hochster", "--cap", "7", "--jobs", "2"],
         ["invariants", c5_file],
@@ -252,6 +254,16 @@ def test_one_parser_serves_successive_calls(bp_file, c5_file, capfd):
     assert code == 4 and err == "error: Hochster brute force capped at 6 vertices\n"
     args = cliquevec.cli._build_parser().parse_args(["betti", "-"])
     assert (args.method, args.cap, args.jobs, args.complex) == ("all", 16, 1, False)
+    # a disjoint C5 and C4 with shuffled labels, read from stdin
+    perm = random.Random(5).sample(range(9), 9)
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 4) for i in range(4)]
+    text = format_graph(Graph(9, [(perm[u], perm[v]) for u, v in edges]))
+    printed = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(["betti", "-", "--method", "hochster", "--cap", "9", *jobs])
+        printed.append((code, *capfd.readouterr()))
+    assert printed[0][0] == 0 and printed[0][1] and printed.count(printed[0]) == 3
 
 
 def test_oversized_header_is_an_input_error(tmp_path, capsys):
