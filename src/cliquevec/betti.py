@@ -11,7 +11,9 @@ on its own: the restriction to W is the disjoint union of the restrictions
 to its parts in the components, so the components' counts by reduced
 homology and size are joined by one rule (the empty complex is the
 identity; otherwise the dimensions add degree by degree and H~_0 gains 1)
-and expanded into Betti entries once.
+and expanded into Betti entries once.  Graphs and complexes share one
+scan, which glues W at the vertices whose link is induced and sends only
+the W it cannot glue to the homology engine.
 
 The strand route uses Hochster's formula on the strand,
 ``beta_{j-1,j} = sum over j-subsets W of (comp(G[W]) - 1)``, together with
@@ -44,12 +46,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .cliques import _bron_kerbosch
 from .complexes import CapExceeded, SimplicialComplex, _facet_faces, _maximal_masks
 from .graphs import (
     Graph,
     _bits,
     _max_cardinality_search,
+    _search_order,
     clique_walk,
     masked_component_count,
 )
@@ -94,21 +96,6 @@ def _faces_by_dim(faces: Iterable[int], face_cap: int) -> list[list[int]]:
     return by_dim
 
 
-def _component_count(facet_masks: Sequence[int]) -> int:
-    """Connected components of the complex with these (nonempty) facets."""
-    comps: list[int] = []
-    for fm in facet_masks:
-        rest = []
-        for c in comps:
-            if c & fm:
-                fm |= c
-            else:
-                rest.append(c)
-        rest.append(fm)
-        comps = rest
-    return len(comps)
-
-
 def _boundary_rank(faces: Sequence[int], rows: Sequence[int]) -> int:
     """Rank over Q of the boundary map from ``faces`` (all k-faces) to
     ``rows`` (all (k-1)-faces).
@@ -149,24 +136,24 @@ def _boundary_rank(faces: Sequence[int], rows: Sequence[int]) -> int:
     return len(pivots)
 
 
-def _homology_dims(by_dim: Sequence[Sequence[int]], components: int) -> tuple[int, ...]:
+def _homology_dims(by_dim: Sequence[Sequence[int]], adj: Sequence[int]) -> tuple[int, ...]:
     """Reduced homology dimensions over a characteristic-zero field of the
-    complex with the faces ``by_dim`` (from :func:`_faces_by_dim`) and
-    ``components`` connected components.
+    complex with the faces ``by_dim`` (from :func:`_faces_by_dim`), whose
+    edges are among those of the graph ``adj``.
 
     Returns ``dims`` with ``dims[k + 1] = dim H~_k`` for k = -1 .. dim.
     Uses the reduced chain complex (the empty face included).  Rank of the
     vertex-to-empty-face map is 1, rank of the edge boundary is #vertices
-    minus #components, and the higher boundary ranks come from
-    :func:`_boundary_rank`: exact over Q, with no modular arithmetic, so
-    torsion (as in RP^2) never shows up as homology.
+    minus #components (counted in ``adj``), and the higher boundary ranks
+    come from :func:`_boundary_rank`: exact over Q, with no modular
+    arithmetic, so torsion (as in RP^2) never shows up as homology.
     """
     if not by_dim:
         return (1,)  # empty complex: only H~_-1 survives
     top = len(by_dim)
     ranks = [0] * (top + 1)  # ranks[k] = rank of boundary C_k -> C_(k-1)
     ranks[0] = 1  # every vertex maps to the empty face
-    ranks[1] = len(by_dim[0]) - components
+    ranks[1] = len(by_dim[0]) - masked_component_count(adj, sum(by_dim[0]))
     for k in range(2, top):
         ranks[k] = _boundary_rank(by_dim[k], by_dim[k - 1])
     dims = [0] * (top + 1)
@@ -185,7 +172,7 @@ def reduced_homology_ranks(
     :class:`CapExceeded` when the total face count exceeds ``face_cap``.
     """
     by_dim = _faces_by_dim(_facet_faces(cx._masks), face_cap)
-    return _homology_dims(by_dim, _component_count(cx._masks))
+    return _homology_dims(by_dim, _skeleton(cx._masks, cx.n))
 
 
 @dataclass(frozen=True)
@@ -231,75 +218,73 @@ def _skeleton(facet_masks: Sequence[int], n: int) -> list[int]:
     return adj
 
 
-def _flag_adjacency(facet_masks: Sequence[int], n: int) -> list[int] | None:
-    """Adjacency masks of the 1-skeleton when the complex is flag, else None.
+def _induced_links(facet_masks: Sequence[int], adj: Sequence[int]) -> int:
+    """Mask of the vertices v whose link is induced: the restriction to N(v),
+    v's neighbours in the 1-skeleton ``adj``, of the complex with these
+    facets.  The two agree when their facets do, the maximal ``fm - v``
+    over the facets through v and the maximal ``fm & N(v)``.  A ghost
+    vertex has a void link and never passes."""
+    passing = 0
+    for v, nb in enumerate(adj):
+        b = 1 << v
+        star = [fm ^ b for fm in facet_masks if fm & b]
+        if star and set(_maximal_masks(star)) == set(_maximal_masks(fm & nb for fm in facet_masks)):
+            passing |= b
+    return passing
 
-    The complex is flag (the clique complex of its 1-skeleton) exactly when
-    every vertex is a face and the facets are the maximal cliques of the
-    1-skeleton.
-    """
-    covered = 0
-    for fm in facet_masks:
-        covered |= fm
-    if covered != (1 << n) - 1:
-        return None
-    adj = _skeleton(facet_masks, n)
-    if set(_bron_kerbosch(adj, covered)) != set(facet_masks):
-        return None
-    return adj
+
+def _restriction_dims(
+    facet_masks: Sequence[int], adj: Sequence[int], w: int, face_cap: int
+) -> tuple[int, ...]:
+    """Reduced homology dimensions of the restriction to ``w`` of the
+    complex with these facets and 1-skeleton ``adj``: the facets are
+    restricted to w, the maximal ones kept, a cone skipped, and the faces of
+    any other restriction are the subsets of its facets."""
+    sub = _maximal_masks(fm & w for fm in facet_masks)
+    if not sub:
+        return (1,)  # restriction is the empty complex
+    common = sub[0]
+    for c in sub[1:]:
+        common &= c
+    if common:
+        return ()  # cone, hence contractible
+    return _homology_dims(_faces_by_dim(_facet_faces(sub), face_cap), adj)
 
 
 def _hochster_scan(
-    facet_masks: Sequence[int],
-    adj: Sequence[int] | None,
-    size: int,
-    face_cap: int,
+    facet_masks: Sequence[int] | None, adj: Sequence[int], size: int, face_cap: int
 ) -> dict:
     """Reduced homology of the restrictions to the subsets W of the
     ``size`` vertices, counted by (dims, |W|): ``counts[dims, j]`` is the
     number of W of size j whose restriction has the reduced homology
     ``dims`` (``dims[k + 1] = dim H~_k``, trailing zeros stripped).
 
-    With ``adj`` (flag input) W is visited as its lowest vertex b plus
-    ``rest = W - b``, grouped by b from the top vertex down, so the
-    :class:`_FlagScan` entries of ``rest`` and of the link ``N(b) & rest``
-    are known when W comes up.  A contractible link (b dominated, or
-    simplicial with a neighbour in W) keeps the entry of ``rest``, an empty
-    link adds a point from a list memo, and any other goes through
-    :meth:`_FlagScan.glue`; chordal input in elimination order only meets
-    the first two.  Without ``adj`` the facets are restricted and
-    re-maximalized, cones are contractible, and the faces of any other
-    restriction are the subsets of its facets.
+    The complex has the facets ``facet_masks`` (None for the clique complex
+    of ``adj``) and the 1-skeleton ``adj``.  W is visited as its lowest
+    vertex b plus ``rest = W - b``, grouped by b from the top vertex down,
+    so every proper subset of W is known when W comes up.  If b passes
+    :func:`_induced_links`, as every vertex of a clique complex does, a
+    contractible link ``N(b) & rest`` keeps the entry of ``rest``, an empty
+    one adds a point, and any other goes through :meth:`_HochsterTable.glue`;
+    chordal input in elimination order only meets the first two.  A W
+    refused there, or whose b fails the test, goes to
+    :meth:`_HochsterTable.entry`.
     """
-    if adj is None:
-        counts: dict = {}
-        for wmask in range(1 << size):
-            sub = _maximal_masks(fm & wmask for fm in facet_masks)
-            if not sub:
-                dims = (1,)  # restriction is the empty complex
-            else:
-                common = sub[0]
-                for c in sub[1:]:
-                    common &= c
-                if common:
-                    dims = ()  # cone, hence contractible
-                else:
-                    by_dim = _faces_by_dim(_facet_faces(sub), face_cap)
-                    dims = _homology_dims(by_dim, _component_count(sub))
-                    while dims and not dims[-1]:
-                        dims = dims[:-1]
-            key = dims, wmask.bit_count()
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    scan = _FlagScan(adj, 1 << size, face_cap)
+    links = (1 << size) - 1 if facet_masks is None else _induced_links(facet_masks, adj)
+    scan = _HochsterTable(facet_masks, adj, links, face_cap)
     table, plus, counts, entry, glue = scan.table, scan.plus, scan.counts, scan.entry, scan.glue
     empty, contractible = _EMPTY, _CONTRACTIBLE
     counts[empty][0] += 1
     for v in reversed(range(size)):
         b = 1 << v
         nb = adj[v]
-        for rest in range(0, (1 << size) - b, b << 1):
+        subsets = range(0, (1 << size) - b, b << 1)
+        if not links & b:
+            for rest in subsets:
+                t = table[rest | b] = entry(rest | b)
+                counts[t][rest.bit_count() + 1] += 1
+            continue
+        for rest in subsets:
             t = table[rest]
             c = table[nb & rest]
             if c == empty:
@@ -319,18 +304,22 @@ def _hochster_scan(
 _EMPTY, _CONTRACTIBLE = 1, 2  # ids of the dims (1,) and () in every scan
 
 
-class _FlagScan:
-    """Reduced homology ids of the clique complexes X(G[w]), by mask w.
-
-    ``table[w]`` is 0 while unknown; ``dims_of[id]`` has ``dims[k + 1] =
-    dim H~_k`` with trailing zeros stripped, so the empty complex is
-    ``(1,)`` and every contractible complex ``()``.
+class _HochsterTable:
+    """Reduced homology ids of the restrictions X(w), by vertex mask w, of
+    the complex that :func:`_hochster_scan` takes; ``links`` masks its
+    vertices with an induced link.  ``table[w]`` is 0 while unknown;
+    ``dims_of[id]`` has ``dims[k + 1] = dim H~_k`` with trailing zeros
+    stripped, so the empty complex is ``(1,)`` and every contractible
+    complex ``()``.
     """
 
-    __slots__ = ("adj", "face_cap", "table", "ids", "dims_of", "plus", "counts", "glued")
+    __slots__ = (
+        "facets", "adj", "links", "face_cap", "table", "ids", "dims_of", "plus", "counts", "glued"
+    )
 
-    def __init__(self, adj: Sequence[int], size: int, face_cap: int) -> None:
-        self.adj, self.face_cap, self.table = adj, face_cap, [0] * size
+    def __init__(self, facets: Sequence[int] | None, adj: Sequence[int], links: int, face_cap: int):
+        self.facets, self.adj, self.links, self.face_cap = facets, adj, links, face_cap
+        self.table = [0] * (1 << len(adj))
         self.ids: dict[tuple[int, ...], int] = {}
         self.dims_of: list[tuple[int, ...]] = [()]  # id 0: not yet known
         self.plus = [0]  # id -> id of the same complex plus a point, 0 if unknown
@@ -355,6 +344,7 @@ class _FlagScan:
     def glue(self, t: int, c: int) -> int:
         """Id of X(W) from the ids ``t`` of X(W - v) and ``c`` of the link
         X(N(v) & W), or 0 when refused; memoized, in ``plus`` for c empty.
+        Valid at a vertex v whose link is induced.
 
         X(W) is X(W - v) with the cone over the link glued on along the
         link, so reduced Mayer-Vietoris reads ``H~_k(link) -> H~_k(W - v)
@@ -377,21 +367,23 @@ class _FlagScan:
         return g
 
     def entry(self, w: int) -> int:
-        """Id of X(G[w]), stored in ``table[w]``: :meth:`glue` at each
-        vertex of w in turn, smaller masks filled on demand.  Only if every
-        vertex is refused are the cliques of G[w] passed to the engine.
+        """Id of X(w) once every proper subset of w is in ``table``:
+        :meth:`glue` at each vertex of w with an induced link but the lowest,
+        which the scan has tried.  If all refuse, the homology engine takes
+        the cliques in w of a clique complex, or :func:`_restriction_dims`.
         """
-        t = self.table[w]
-        r = w
-        while r and not t:
+        table, adj = self.table, self.adj
+        r = w & (w - 1) & self.links
+        while r:
             b = r & -r
             r ^= b
-            t = self.glue(self.entry(w ^ b), self.entry(self.adj[b.bit_length() - 1] & w))
-        if not t:
-            by_dim = _faces_by_dim(clique_walk(self.adj, w, w.bit_count()), self.face_cap)
-            t = self.intern(_homology_dims(by_dim, masked_component_count(self.adj, w)))
-        self.table[w] = t
-        return t
+            t = self.glue(table[w ^ b], table[adj[b.bit_length() - 1] & w])
+            if t:
+                return t
+        if self.facets is not None:
+            return self.intern(_restriction_dims(self.facets, adj, w, self.face_cap))
+        by_dim = _faces_by_dim(clique_walk(adj, w, w.bit_count()), self.face_cap)
+        return self.intern(_homology_dims(by_dim, adj))
 
 
 def _join(a: dict, b: dict) -> dict:
@@ -467,26 +459,25 @@ def full_betti_hochster(
     G is relabelled by one maximum cardinality search, so that position p
     of its elimination order becomes vertex p; the search finishes each
     component before it starts the next, so each component is a run of
-    consecutive labels.  The path of a component follows its input.  When
-    ``cx`` is a graph, or the component is flag (the clique complex of its
-    1-skeleton, checked by listing the maximal cliques), one scan fills a
-    table of 2^(n_i) slots (about 8 MB at n_i = 20) by vertex mask.  Each
-    entry is read off the entries of W - v and of the link N(v) & W by one
-    Mayer-Vietoris rule (:meth:`_FlagScan.glue`); only a W refused at every
-    vertex, such as the two 4-cycles of two 4-cycles joined through a hub
-    vertex, has its cliques passed to the homology engine.  Other
-    components (ghost vertices, non-flag complexes) take the facet path:
-    restrict the facets to W, keep the maximal ones, skip cones and take
-    the faces as subsets of the facets.  ``face_cap`` applies to each
-    restriction the engine sees.  Restrictions to at most 14 vertices have at most 16,383 faces,
-    so the default cap can fire only from 15 vertices on.
+    consecutive labels; a graph reuses the order :func:`is_chordal` reads.
+    Every component takes one scan (:func:`_hochster_scan`), which fills a
+    table of 2^(n_i) slots (about 8 MB at n_i = 20) by vertex mask.  W is
+    read off the entries of W - v and N(v) & W by one Mayer-Vietoris rule
+    (:meth:`_HochsterTable.glue`) at any vertex v whose link is the
+    restriction to N(v), as is every vertex of a clique complex.  Only a W
+    that no such vertex glues reaches the homology engine, such as the two
+    4-cycles of two 4-cycles joined through a hub vertex, or a W of a
+    non-flag complex whose lowest vertex fails the test.  ``face_cap``
+    applies to each restriction the engine sees.  Restrictions to at most
+    14 vertices have at most 16,383 faces, so the default cap can fire
+    only from 15 vertices on.
     """
     n = cx.n
     _check_vertex_cap(n, vertex_cap)
     graph = isinstance(cx, Graph)
     skeleton = cx._masks if graph else _skeleton(cx._masks, n)
+    order = _search_order(cx) if graph else _max_cardinality_search(skeleton)
     # relabel so that position p of an elimination order becomes vertex p
-    order = _max_cardinality_search(skeleton)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
@@ -495,19 +486,17 @@ def full_betti_hochster(
         return sum(1 << pos[u] for u in _bits(mask))
 
     adj = [relabel(skeleton[v]) for v in order]
-    facet_masks = () if graph else [relabel(fm) for fm in cx._masks]
-    parts = []  # (facets, adjacency or None, size) of each component
+    facet_masks = None if graph else [relabel(fm) for fm in cx._masks]
+    parts = []  # (facets or None, adjacency, size) of each component
     start = reach = 0
     for p, nb in enumerate(adj):
         reach = max(reach, nb.bit_length() - 1)
         if reach <= p:  # no vertex up to p has a neighbour past p
             size = p + 1 - start
-            facets = [fm >> start for fm in facet_masks if fm >> start & (1 << size) - 1]
-            if graph:
-                part = [m >> start for m in adj[start : p + 1]]
-            else:
-                part = _flag_adjacency(facets, size)
-            parts.append((facets, part, size))
+            facets = None if graph else [
+                fm >> start for fm in facet_masks if fm >> start & (1 << size) - 1
+            ]
+            parts.append((facets, [m >> start for m in adj[start : p + 1]], size))
             start = p + 1
     scans = [_hochster_scan(*part, face_cap) for part in parts]
     counts, *rest = scans or [{((1,), 0): 1}]  # n = 0: the empty complex

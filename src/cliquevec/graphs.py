@@ -293,6 +293,13 @@ def _max_cardinality_search(masks: Sequence[int]) -> list[int]:
 
 
 @once_per_graph
+def _search_order(g: Graph) -> tuple[int, ...]:
+    """The maximum cardinality search order of ``g``, which
+    :func:`is_chordal` and the Hochster table share."""
+    return tuple(_max_cardinality_search(g._masks))
+
+
+@once_per_graph
 def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
     """Chordality test with a perfect elimination ordering as witness.
 
@@ -302,10 +309,10 @@ def is_chordal(g: Graph) -> tuple[bool, Peo | None]:
     0 is eliminated first).  Ties in the search are broken toward smaller
     vertex ids, so the witness is deterministic.
     """
-    order = _max_cardinality_search(g._masks)
+    order = _search_order(g)
     if not is_valid_peo(g, order):
         return False, None
-    return True, Peo(tuple(order))
+    return True, Peo(order)
 
 
 def vertex_connectivity(g: Graph) -> int:

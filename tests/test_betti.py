@@ -31,15 +31,17 @@ from cliquevec.betti import (
     DEFAULT_FACE_CAP,
     _betti_entries,
     _boundary_rank,
-    _component_count,
     _connected_set_tally,
     _faces_by_dim,
     _facet_faces,
-    _flag_adjacency,
     _hochster_scan,
     _homology_dims,
+    _induced_links,
+    _restriction_dims,
+    _skeleton,
 )
 from cliquevec.complexes import CapExceeded, restrict
+from cliquevec.graphs import _bits, components
 
 # The 6-vertex real projective plane: H~_1 = Z/2, so every reduced homology
 # group vanishes over Q but not over GF(2).
@@ -77,7 +79,7 @@ TWO_OCTAHEDRA = disjoint_union(OCTAHEDRON, OCTAHEDRON)
 HUB_C4 = joined_by_hub(TWO_C4, 0, 4)
 HUB_C5 = joined_by_hub(TWO_C5, 0, 5)
 # A ghost vertex makes the complex non-flag, but it is a component of its
-# own, so the octahedron beside it still takes the flag scan
+# own, so the octahedron beside it is glued at every vertex
 OCTAHEDRON_AND_GHOST = SimplicialComplex(7, [sorted(f) for f in clique_complex(OCTAHEDRON).facets])
 
 
@@ -257,16 +259,18 @@ def test_face_cap_on_the_flag_path():
     # is a cone, its link a 4-cycle), so no restriction reaches the engine.
     # In the two 4-cycles of HUB_C4, deleting any vertex leaves H~_0 of
     # rank 1 and its link, two points, has H~_0 of rank 1 too, so the glue
-    # is refused at every vertex: the engine sees both cycles, 8 + 8 faces.
-    # TWO_C4 is scanned one cycle at a time, so the engine never runs.
+    # is refused at every vertex: the engine sees both cycles, 8 + 8 faces,
+    # whether the input is the graph or its clique complex.  TWO_C4 is
+    # scanned one cycle at a time, so the engine never runs.
     masks = masks_of(clique_complex(OCTAHEDRON))
-    assert _flag_adjacency(masks, 6) is not None
+    assert _induced_links(masks, OCTAHEDRON._masks) == 0b111111
     assert table_of(OCTAHEDRON, face_cap=1).entries == {
         (0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1,
     }
-    with pytest.raises(CapExceeded, match=r"^face count exceeds cap 15$"):
-        table_of(HUB_C4, face_cap=15)
-    table_of(HUB_C4, face_cap=16)
+    for cx in (HUB_C4, clique_complex(HUB_C4)):
+        with pytest.raises(CapExceeded, match=r"^face count exceeds cap 15$"):
+            full_betti_hochster(cx, face_cap=15)
+        full_betti_hochster(cx, face_cap=16)
     assert table_of(TWO_C4, face_cap=1) == table_of(TWO_C4)
 
 
@@ -389,9 +393,9 @@ def test_hochster_computes_each_core_once(monkeypatch):
     # on its own, so the engine never runs.
     calls = []
 
-    def counting(by_dim, components):
+    def counting(by_dim, adj):
         calls.append(by_dim)
-        return _homology_dims(by_dim, components)
+        return _homology_dims(by_dim, adj)
 
     monkeypatch.setattr(betti, "_homology_dims", counting)
     table = table_of(cycle_with_leaves(5, range(4)))
@@ -495,30 +499,97 @@ def test_ghost_vertices_contribute_to_hochster():
     assert table.entries == {(0, 0): 1, (1, 1): 1}
 
 
-def test_flag_and_facet_paths_agree(corpus300, bp12):
-    # The raw flag scans of TWO_C4, TWO_C5, TWO_OCTAHEDRA, HUB_C4 and HUB_C5
-    # reach the homology engine; the other graphs only meet the glue
+def scan_by_restriction(masks, adj, size):
+    """Counts by (dims, |W|), as :func:`_hochster_scan` gives them, with one
+    restriction per W: the facets restricted to W and re-maximalized, cones
+    skipped, and every other W sent to the homology engine."""
+    counts = {}
+    for w in range(1 << size):
+        dims = _restriction_dims(masks, adj, w, DEFAULT_FACE_CAP)
+        while dims and not dims[-1]:
+            dims = dims[:-1]
+        key = dims, w.bit_count()
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_graph_and_complex_scans_match_reference(g):
+    masks = masks_of(clique_complex(g))
+    adj = list(g._masks)
+    assert _skeleton(masks, g.n) == adj
+    assert _induced_links(masks, adj) == (1 << g.n) - 1
+    want = scan_by_restriction(masks, adj, g.n)
+    assert _hochster_scan(None, adj, g.n, DEFAULT_FACE_CAP) == want
+    assert _hochster_scan(masks, adj, g.n, DEFAULT_FACE_CAP) == want
+
+
+def test_graph_and_complex_scans_match_restriction_reference(corpus300, bp12):
+    # The raw scans of TWO_C4, TWO_C5, TWO_OCTAHEDRA, HUB_C4 and HUB_C5
+    # reach the homology engine; the other graphs only meet the glue.  Each
+    # graph is scanned as a graph and as its clique complex.
     graphs = [*corpus300[:60], *(Graph.cycle(k) for k in range(4, 9)), OCTAHEDRON]
     graphs += [TWO_C4, TWO_C5, TWO_OCTAHEDRA, HUB_C4, HUB_C5]
     graphs += [gnp(6 + s % 5, (0.3, 0.45, 0.6)[s % 3], s) for s in range(40)]
     graphs += [bp12, gnp(10, 0.45, 7), *(gnp(n, 0.45, 50 + n) for n in (9, 10, 11))]
     graphs += [cycle_with_leaves(7, range(7))]
     for g in graphs:
-        masks = masks_of(clique_complex(g))
-        adj = _flag_adjacency(masks, g.n)
-        assert adj == list(g._masks)
-        flag = _hochster_scan(masks, adj, g.n, DEFAULT_FACE_CAP)
-        facet = _hochster_scan(masks, None, g.n, DEFAULT_FACE_CAP)
-        assert flag == facet
+        assert_graph_and_complex_scans_match_reference(g)
 
 
-def test_non_flag_complexes_take_the_facet_path():
-    assert _flag_adjacency(masks_of(RP2), 6) is None
-    # ghost vertex 2
-    assert _flag_adjacency(masks_of(SimplicialComplex(3, [{0, 1}])), 3) is None
-    # hollow triangle: its 1-skeleton's clique complex is the full triangle
-    hollow = SimplicialComplex(3, [{0, 1}, {1, 2}, {0, 2}])
-    assert _flag_adjacency(masks_of(hollow), 3) is None
+def test_induced_links_of_non_flag_complexes():
+    # RP^2: the link of each vertex is a 5-cycle, but the other five
+    # vertices also span five triangles
+    assert _induced_links(masks_of(RP2), _skeleton(masks_of(RP2), 6)) == 0
+    # hollow triangle: the link of each vertex is two points, but its two
+    # neighbours span an edge
+    hollow = masks_of(SimplicialComplex(3, [{0, 1}, {1, 2}, {0, 2}]))
+    assert _induced_links(hollow, _skeleton(hollow, 3)) == 0
+    # an edge and a ghost vertex 2, whose link is void
+    edge = masks_of(SimplicialComplex(3, [{0, 1}]))
+    assert _induced_links(edge, _skeleton(edge, 3)) == 0b011
+
+
+def nearly_flag(n, seed):
+    """The clique complex of a connected G(n, 0.45) with its largest facet
+    replaced by its boundary."""
+    rng = random.Random(seed)
+    g = gnp(n, 0.45, rng.getrandbits(32))
+    while components(g)[0] > 1:
+        g = gnp(n, 0.45, rng.getrandbits(32))
+    facets = masks_of(clique_complex(g))
+    top = max(facets, key=int.bit_count)
+    facets.remove(top)
+    facets += [top ^ 1 << v for v in _bits(top)]
+    return SimplicialComplex(n, [_bits(m) for m in facets])
+
+
+def test_nearly_flag_complexes_glue_where_links_are_induced(monkeypatch):
+    # Exactly the vertices of the hollowed facet lose an induced link, so
+    # nearly every W is glued: the engine runs 1, 1, 1 and 12 times, where
+    # a scan that sends every W that is not a cone to the engine runs it
+    # 410, 874, 1,539 and 3,764 times.  The smallest is also checked
+    # against a restriction per W of the complex itself.
+    calls = []
+
+    def counting(by_dim, adj):
+        calls.append(by_dim)
+        return _homology_dims(by_dim, adj)
+
+    complexes = [nearly_flag(n, 900 + n) for n in (9, 10, 11, 12)]
+    tables = []
+    for cx in complexes:
+        masks, adj = list(cx._masks), _skeleton(cx._masks, cx.n)
+        want = scan_by_restriction(masks, adj, cx.n)
+        assert _hochster_scan(masks, adj, cx.n, DEFAULT_FACE_CAP) == want
+        tables.append(_betti_entries(want))
+    assert hochster_by_restriction(complexes[0]) == tables[0]
+    monkeypatch.setattr(betti, "_homology_dims", counting)
+    engine = []
+    for cx, want in zip(complexes, tables):
+        calls.clear()
+        assert full_betti_hochster(cx).entries == want
+        engine.append(len(calls))
+    assert engine == [1, 1, 1, 12]
 
 
 def _dense_boundary(faces, rows):
@@ -531,13 +602,24 @@ def _dense_boundary(faces, rows):
     return mat
 
 
+# A pure 2-complex on 9 vertices whose triangle-to-edge reduction meets a
+# pivot of -2, the one input here that reaches the non-unit pivot branch
+# of _boundary_rank.
+NON_UNIT_PIVOT = SimplicialComplex(9, [
+    (0, 1, 4), (0, 1, 5), (0, 1, 7), (0, 2, 5), (0, 2, 8), (0, 3, 7), (0, 3, 8),
+    (0, 4, 6), (1, 2, 3), (1, 2, 4), (1, 3, 7), (1, 4, 5), (1, 4, 6), (1, 4, 7),
+    (1, 4, 8), (1, 5, 7), (1, 6, 7), (2, 3, 5), (2, 4, 8), (2, 5, 7), (3, 4, 5),
+    (3, 4, 8), (3, 5, 7), (3, 6, 7), (3, 7, 8), (4, 5, 7), (4, 6, 7), (5, 6, 7),
+])
+
+
 def test_boundary_ranks_match_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2012)
-    # the cone and the suspension of RP^2 reach non-unit pivots
+    # RP^2, its cone and its suspension meet only unit pivots
     cone = [f | {6} for f in RP2.facets]
     suspension = [*cone, *(f | {7} for f in RP2.facets)]
-    complexes = [RP2, SimplicialComplex(7, cone), SimplicialComplex(8, suspension)]
+    complexes = [RP2, SimplicialComplex(7, cone), SimplicialComplex(8, suspension), NON_UNIT_PIVOT]
     for _ in range(40):
         n = rng.randint(3, 7)
         facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 7))]
@@ -552,7 +634,7 @@ def test_boundary_ranks_match_sympy():
         for k in range(2, len(by_dim)):
             assert _boundary_rank(by_dim[k], by_dim[k - 1]) == ranks[k]
         dims = (0, *(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))))
-        assert _homology_dims(by_dim, _component_count(masks)) == dims
+        assert _homology_dims(by_dim, _skeleton(masks, cx.n)) == dims
 
 
 def test_pinned_tables():
@@ -608,14 +690,10 @@ def with_isolated(g, extra):
     return Graph(n, [(new[u], new[v]) for u, v in g.edges()])
 
 
-def test_isolated_vertices_flag_and_facet_paths_agree():
+def test_isolated_vertices_graph_and_complex_scans_match_reference():
     for s in range(24):
         g = with_isolated(gnp(5 + s % 5, (0.3, 0.45, 0.6)[s % 3], 300 + s), 1 + s % 3)
-        masks = masks_of(clique_complex(g))
-        adj = _flag_adjacency(masks, g.n)
-        assert adj is not None
-        flag = _hochster_scan(masks, adj, g.n, DEFAULT_FACE_CAP)
-        assert flag == _hochster_scan(masks, None, g.n, DEFAULT_FACE_CAP)
+        assert_graph_and_complex_scans_match_reference(g)
 
 
 def test_chordal_table_independent_of_labelling():

@@ -303,8 +303,8 @@ def test_betti_refuses_non_chordal_before_the_scan(c5_file, tmp_path, capsys, mo
 
 
 def test_betti_on_a_graph_lists_no_maximal_cliques(bp_file, c5_file, capsys, monkeypatch):
-    """The Hochster scan of a graph starts from its adjacency masks: a
-    clique complex is flag by construction, so Bron-Kerbosch never runs."""
+    """The Hochster scan of a graph starts from its adjacency masks and
+    needs no flag check, so Bron-Kerbosch never runs."""
     bk_calls = count_calls(monkeypatch, cliquevec.cliques, "_bron_kerbosch")
     # C5 with --method all stops at the b-vector route's chordality check
     for path, method, code in (
@@ -313,6 +313,17 @@ def test_betti_on_a_graph_lists_no_maximal_cliques(bp_file, c5_file, capsys, mon
         assert main(["betti", path, "--method", method]) == code
         capsys.readouterr()
         assert bk_calls[0] == 0, (path, method)
+
+
+def test_betti_on_a_graph_runs_one_search(bp_file, c5_file, capsys, monkeypatch):
+    """``betti`` asks for chordality before it builds the Hochster table;
+    both read the one maximum cardinality search kept on the graph."""
+    searches = count_calls(monkeypatch, cliquevec.graphs, "_max_cardinality_search")
+    for path, method in ((c5_file, "hochster"), (bp_file, "hochster"), (bp_file, "all")):
+        searches[0] = 0
+        assert main(["betti", path, "--method", method]) == 0
+        capsys.readouterr()
+        assert searches[0] == 1, (path, method)
 
 
 def test_betti_hochster_and_strand_skip_the_clique_vector(c5_file, capsys, monkeypatch):
