@@ -8,18 +8,15 @@ from .graphs import (
     components,
     cut_component_sum,
     format_graph,
-    induced_subgraph,
     is_chordal,
     parse_graph,
     random_chordal,
-    simplicial_vertices,
     vertex_connectivity,
 )
 from .peo import (
     Peo,
     is_valid_peo,
     monotone_neighbors,
-    s_of_clique,
     special_peo,
     verify_special_peo,
 )
@@ -53,10 +50,8 @@ from .complexes import (
     is_matroid,
     is_pure,
     is_shifted,
-    minimal_nonfaces,
     parse_complex,
     restrict,
-    skeleton,
 )
 from .betti import (
     BettiTable,

@@ -30,7 +30,7 @@ at most 20 vertices has; the sets are still counted exactly, and the count
 is checked once per distinct frame.
 
 Indexing convention (important): all public outputs are reported for the
-quotient ring R/I.  The closed h-vector formula for ideals with a t-linear
+quotient ring R/I.  The closed h-vector formula for ideals with a 2-linear
 resolution natively counts the Betti numbers of the ideal I itself, which
 sit one homological step below those of R/I; the formula index i therefore
 maps to homological index i+1 of R/I.  This calibration is pinned by the
@@ -637,11 +637,10 @@ def linear_strand_hochster(g: Graph) -> tuple[int, ...]:
     return tuple(q[j] - comb(n, j) for j in range(2, row))
 
 
-def betti_from_hvector(
-    h: Sequence[int], n_vars: int, d: int, t: int = 2
-) -> tuple[int, ...]:
+def betti_from_hvector(h: Sequence[int], n_vars: int, d: int) -> tuple[int, ...]:
     """Total Betti numbers of R/I from the h-vector, assuming I has a
-    t-linear resolution.
+    2-linear resolution, as the ideal of a chordal graph's clique complex
+    has (Froberg); resolutions of other degrees are not covered.
 
     Returns ``out`` with ``out[i] = beta_i(R/I)`` for i = 0..n_vars (see the
     module docstring for the index calibration).  Garbage in, garbage out:
@@ -651,11 +650,11 @@ def betti_from_hvector(
         raise ValueError("need n_vars >= d")
 
     # out[i + 1] = (-1)^(i + 1) sum over ell of (-1)^ell C(n_vars - d, ell)
-    # h[t + i - ell], where h and the binomial vanish outside their ranges
+    # h[2 + i - ell], where h and the binomial vanish outside their ranges
     row = [(-1) ** ell * comb(n_vars - d, ell) for ell in range(n_vars - d + 1)]
     out = [1]
     for i in range(n_vars):
-        m = t + i
+        m = 2 + i
         ells = range(max(0, m - len(h) + 1), min(m, n_vars - d) + 1)
         acc = sum(row[ell] * h[m - ell] for ell in ells)
         out.append(acc if i % 2 else -acc)  # the sign (-1)^(i + 1)
@@ -714,16 +713,14 @@ class HomologicalProfile:
         }
 
 
-def homological_profile(source) -> HomologicalProfile:
+def homological_profile(table: BettiTable) -> HomologicalProfile:
     """Projective dimension, depth, 2-linearity and the connectivity read
-    off the linear strand.  ``source`` is a Betti table, or a complex or a
-    graph (in which case the table is computed first, caps applying).
+    off the linear strand of a Betti table.
 
     ``kappa_from_betti`` is the largest k such that the strand vanishes at
     every homological index >= n - k; for a complete graph's complex the
     strand is empty and the value saturates at n.
     """
-    table = source if isinstance(source, BettiTable) else full_betti_hochster(source)
     n = table.n
     pd = max((i for (i, _) in table.entries), default=0)
     two_linear = all(

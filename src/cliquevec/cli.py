@@ -67,13 +67,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_graph(path: str) -> Graph:
+def _read_text(path: str) -> str:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+
+
+def _read_graph(path: str) -> Graph:
     try:
-        g = parse_graph(text)
+        g = parse_graph(_read_text(path))
     except GraphFormatError as exc:
         raise CliError(EXIT_INPUT, f"bad graph file: {exc}") from exc
     if g.n == 0:
@@ -114,12 +120,19 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _from_b_entry(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise CliError(EXIT_INPUT, f"bad --from-b entry {tok.strip()!r}: not an integer") from None
+
+
 def cmd_word(args) -> int:
     if (args.word is None) == (args.from_b is None):
         raise CliError(EXIT_INPUT, "give either a word or --from-b")
     try:
         if args.from_b is not None:
-            b = [int(tok) for tok in args.from_b.split(",") if tok.strip()]
+            b = [_from_b_entry(tok) for tok in args.from_b.split(",") if tok.strip()]
             word = word_from_bvector(b)
         else:
             word = normalize_word(args.word)
@@ -195,12 +208,7 @@ def cmd_shift(args) -> int:
 def cmd_betti(args) -> int:
     if args.complex:
         try:
-            text = (
-                sys.stdin.read() if args.path == "-" else open(args.path, encoding="utf-8").read()
-            )
-            cx = parse_complex(text)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read {args.path}: {exc}") from exc
+            cx = parse_complex(_read_text(args.path))
         except GraphFormatError as exc:
             raise CliError(EXIT_INPUT, f"bad complex file: {exc}") from exc
         if args.method not in ("hochster", "all"):
@@ -266,6 +274,8 @@ def cmd_verify(args) -> int:
         n, trials, seed = args.random
         if n > 12:
             raise CliError(EXIT_PRECONDITION, "random mode caps n at 12")
+        if n < 2:
+            raise CliError(EXIT_PRECONDITION, f"random mode draws n from 2..12, got {n}")
         rng = random.Random(seed)
         for t in range(trials):
             instances.append((f"random-{seed}-{t}", random_instance(n, rng)))

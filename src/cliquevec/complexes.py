@@ -1,5 +1,5 @@
-"""Simplicial complexes stored by facets, plus the predicates (shifted,
-pure, matroid) and the Stanley-Reisner generators (minimal non-faces).
+"""Simplicial complexes stored by facets, plus restriction and the
+predicates (shifted, pure, matroid).
 
 A complex on ``{0..n-1}`` is an antichain of facets, stored only as
 vertex bitmasks; faces are implicit (membership = submask of some facet),
@@ -12,7 +12,6 @@ toward ``n`` but carry no faces.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphFormatError, _bits
@@ -22,15 +21,16 @@ __all__ = [
     "SimplicialComplex",
     "CapExceeded",
     "clique_complex",
-    "skeleton",
     "restrict",
-    "minimal_nonfaces",
     "is_shifted",
     "is_pure",
     "is_matroid",
     "parse_complex",
     "format_complex",
 ]
+
+
+MATROID_VERTEX_CAP = 16
 
 
 class CapExceeded(RuntimeError):
@@ -109,12 +109,9 @@ class SimplicialComplex:
         f = frozenset(face)
         return not f or any(f <= facet for facet in self.facets)
 
-    def faces(self, include_empty: bool = False) -> set[frozenset[int]]:
-        """All faces.  Exponential in the largest facet; desk scale only."""
-        out = {frozenset(_bits(m)) for m in _facet_faces(self._masks)}
-        if include_empty:
-            out.add(frozenset())
-        return out
+    def faces(self) -> set[frozenset[int]]:
+        """All nonempty faces.  Exponential in the largest facet; desk scale only."""
+        return {frozenset(_bits(m)) for m in _facet_faces(self._masks)}
 
     def f_vector(self) -> tuple[int, ...]:
         """``(f_-1, f_0, ..., f_(dim))`` with ``f_-1 = 1``."""
@@ -139,19 +136,6 @@ def clique_complex(g: Graph) -> SimplicialComplex:
     return _from_masks(g.n, _clique_masks(g))
 
 
-def skeleton(cx: SimplicialComplex, t: int) -> SimplicialComplex:
-    """Faces of dimension <= t."""
-    if t < 0:
-        raise ValueError("skeleton dimension must be nonnegative")
-    out: list[int] = []
-    for fm in cx._masks:
-        if fm.bit_count() <= t + 1:
-            out.append(fm)
-        else:
-            out.extend(map(sum, combinations([1 << v for v in _bits(fm)], t + 1)))
-    return _from_masks(cx.n, _maximal_masks(out))
-
-
 def restrict(cx: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """Faces entirely inside ``vertices``, re-maximalized."""
     w = frozenset(vertices)
@@ -159,28 +143,6 @@ def restrict(cx: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComple
         raise ValueError("restriction set out of range")
     wmask = sum(1 << v for v in w)
     return _from_masks(cx.n, _maximal_masks(fm & wmask for fm in cx._masks))
-
-
-def minimal_nonfaces(
-    cx: SimplicialComplex, vertex_cap: int = 16
-) -> list[frozenset[int]]:
-    """Inclusion-minimal non-faces (Stanley-Reisner ideal generators).
-
-    Enumerates subsets by increasing size, skipping supersets of non-faces
-    already found.  For a clique complex the answer is exactly the non-edge
-    list.  Ghost vertices yield singleton non-faces.
-    """
-    if cx.n > vertex_cap:
-        raise CapExceeded(f"minimal_nonfaces capped at {vertex_cap} vertices")
-    found: list[int] = []
-    for size in range(1, cx.n + 1):
-        for sub in combinations([1 << v for v in range(cx.n)], size):
-            s = sum(sub)
-            if any(not nf & ~s for nf in found):
-                continue
-            if all(s & ~fm for fm in cx._masks):
-                found.append(s)
-    return [frozenset(_bits(m)) for m in sorted(found, key=_bits)]
 
 
 def is_shifted(cx: SimplicialComplex, order: Sequence[int]) -> bool:
@@ -226,10 +188,10 @@ def is_pure(cx: SimplicialComplex) -> bool:
     return len({m.bit_count() for m in cx._masks}) <= 1
 
 
-def is_matroid(cx: SimplicialComplex, vertex_cap: int = 16) -> bool:
+def is_matroid(cx: SimplicialComplex) -> bool:
     """Pure, and pure after deleting every vertex subset (brute force)."""
-    if cx.n > vertex_cap:
-        raise CapExceeded(f"matroid check capped at {vertex_cap} vertices")
+    if cx.n > MATROID_VERTEX_CAP:
+        raise CapExceeded(f"matroid check capped at {MATROID_VERTEX_CAP} vertices")
     for smask in range(1 << cx.n):
         keep = ~smask
         sizes = {m.bit_count() for m in _maximal_masks(fm & keep for fm in cx._masks)}

@@ -23,11 +23,9 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "components",
-    "induced_subgraph",
     "is_chordal",
     "vertex_connectivity",
     "cut_component_sum",
-    "simplicial_vertices",
     "random_chordal",
     "chordal_with_connectivities",
     "parse_graph",
@@ -246,25 +244,6 @@ def components(g: Graph) -> tuple[int, tuple[int, ...]]:
     return count, tuple(labels)
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on ``keep``, relabeled to ``0..|keep|-1``.
-
-    Returns ``(subgraph, old_ids)`` where ``old_ids[new] = old``; the
-    relabeling is order-preserving on vertex ids.
-    """
-    old_ids = sorted(set(keep))
-    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
-        raise ValueError(f"vertex ids {old_ids} out of range for n={g.n}")
-    index = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (index[u], index[v])
-        for u in old_ids
-        for v in _bits(g._masks[u])
-        if u < v and v in index
-    ]
-    return Graph(len(old_ids), edges), tuple(old_ids)
-
-
 def _max_cardinality_search(masks: Sequence[int]) -> list[int]:
     """Maximum cardinality search over the graph with adjacency bitmasks
     ``masks``, smaller ids first on ties; returns the reverse visit order
@@ -373,14 +352,6 @@ def _is_simplicial_masked(masks: Sequence[int], v: int, active: int) -> bool:
         if nb & ~masks[b.bit_length() - 1] & ~b:
             return False
     return True
-
-
-def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood induces a clique."""
-    active = (1 << g.n) - 1
-    return frozenset(
-        v for v in range(g.n) if _is_simplicial_masked(g._masks, v, active)
-    )
 
 
 def random_chordal(n: int, attach_width: int, seed: int) -> Graph:

@@ -12,13 +12,15 @@ The finer structural conditions (b)-(d) checked by
 module test-suite for a 6-vertex counterexample where no anchored ordering
 can satisfy them all.  For this reason construction and verification are
 separate: :func:`special_peo` guarantees the PEO property and the position
-condition (a); the rest is reported as data.
+condition (a), and :func:`verify_special_peo` returns the first
+counterexample to each condition, or ``None``, as a plain dict.  It is
+library-only: no command and no claim of the suite reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -26,10 +28,7 @@ __all__ = [
     "is_valid_peo",
     "special_peo",
     "monotone_neighbors",
-    "s_of_clique",
     "verify_special_peo",
-    "ConditionResult",
-    "SpecialPeoReport",
 ]
 
 
@@ -70,7 +69,7 @@ def is_valid_peo(g, order: Sequence[int]) -> bool:
     return True
 
 
-def _normalize_clique_order(g, k_clique) -> tuple[int, ...]:
+def _normalize_clique_order(k_clique) -> tuple[int, ...]:
     if isinstance(k_clique, (set, frozenset)):
         return tuple(sorted(k_clique, reverse=True))
     return tuple(k_clique)
@@ -107,7 +106,7 @@ def special_peo(g, k_clique) -> Peo:
     """
     from .graphs import _is_simplicial_masked, is_chordal  # local: avoids cycle
 
-    k_order = _normalize_clique_order(g, k_clique)
+    k_order = _normalize_clique_order(k_clique)
     chordal, _ = is_chordal(g)
     if not chordal:
         raise ValueError("graph is not chordal")
@@ -159,7 +158,7 @@ def monotone_neighbors(g, peo: Peo, v: int) -> tuple[int, ...]:
     return tuple(u for u in peo.order[peo.position(v) + 1 :] if nb >> u & 1)
 
 
-def s_of_clique(g, peo: Peo, clique: Iterable[int]) -> frozenset[int]:
+def _s_of_clique(g, peo: Peo, clique: Iterable[int]) -> frozenset[int]:
     """Members of a maximal clique whose monotone neighborhood leaves it."""
     members = tuple(clique)
     _check_maximal_clique(g, members)
@@ -169,42 +168,7 @@ def s_of_clique(g, peo: Peo, clique: Iterable[int]) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    ok: bool
-    witness: object = None
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class SpecialPeoReport:
-    peo_property: ConditionResult
-    cond_a: ConditionResult
-    cond_b: ConditionResult
-    cond_c: ConditionResult
-    cond_d: ConditionResult
-
-    @property
-    def all_ok(self) -> bool:
-        return all(
-            c.ok
-            for c in (self.peo_property, self.cond_a, self.cond_b, self.cond_c, self.cond_d)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "peo_property": self.peo_property.to_dict(),
-            "a": self.cond_a.to_dict(),
-            "b": self.cond_b.to_dict(),
-            "c": self.cond_c.to_dict(),
-            "d": self.cond_d.to_dict(),
-            "all_ok": self.all_ok,
-        }
-
-
-def verify_special_peo(g, k_clique, peo: Peo) -> SpecialPeoReport:
+def verify_special_peo(g, k_clique, peo: Peo) -> dict:
     """Check the PEO property plus the four anchored-ordering conditions.
 
     (a) the anchor clique occupies the last positions, ``x_i`` at ``n - i``;
@@ -214,23 +178,20 @@ def verify_special_peo(g, k_clique, peo: Peo) -> SpecialPeoReport:
     (d) for intersecting maximal cliques C, C', one of the two one-sided
         precedence conditions holds.
 
-    Failures are data, not errors: the report carries the first
-    counterexample found per condition.  An ordering of the wrong length
-    fails every check, with both lengths as the witness.
+    Failures are data, not errors: the result maps ``"peo_property"``,
+    ``"a"``, ``"b"``, ``"c"`` and ``"d"`` to the first counterexample found
+    for that condition, or to ``None`` when it holds.  An ordering of the
+    wrong length fails every check, with both lengths as the witness.
     """
     from .cliques import maximal_cliques  # local: avoids cycle
 
     n = g.n
     if len(peo) != n:
-        short = ConditionResult(False, {"peo_length": len(peo), "n": n})
-        return SpecialPeoReport(short, short, short, short, short)
-    k_order = _normalize_clique_order(g, k_clique)
+        short = {"peo_length": len(peo), "n": n}
+        return dict.fromkeys(("peo_property", "a", "b", "c", "d"), short)
+    k_order = _normalize_clique_order(k_clique)
     cliques = maximal_cliques(g)
-    s_sets = {c: s_of_clique(g, peo, c) for c in cliques}
-
-    def first(witnesses) -> ConditionResult:
-        bad = next(iter(witnesses), None)
-        return ConditionResult(bad is None, bad)
+    s_sets = {c: _s_of_clique(g, peo, c) for c in cliques}
 
     def b_witness(c) -> dict | None:
         s = s_sets[c]
@@ -256,28 +217,25 @@ def verify_special_peo(g, k_clique, peo: Peo) -> SpecialPeoReport:
             None,
         )
 
-    def d_fails(c1, c2) -> bool:
+    def d_witness(c1, c2) -> dict | None:
         inter = c1 & c2
         if not inter:
-            return False
+            return None
         min_in = min(peo.position(v) for v in inter)
         # neither side lies wholly before the intersection
-        return all(
-            side and max(peo.position(v) for v in side) >= min_in for side in (c1 - c2, c2 - c1)
-        )
+        if all(side and max(peo.position(v) for v in side) >= min_in for side in (c1 - c2, c2 - c1)):
+            return {"clique_1": sorted(c1), "clique_2": sorted(c2), "intersection": sorted(inter)}
+        return None
 
-    return SpecialPeoReport(
-        first(() if is_valid_peo(g, peo.order) else ("not a PEO",)),
-        first(
-            {"x_index": i, "vertex": x}
-            for i, x in enumerate(k_order, start=1)
-            if n - i < 0 or peo.order[n - i] != x
-        ),
-        first(filter(None, map(b_witness, cliques))),
-        first(filter(None, map(c_witness, cliques))),
-        first(
-            {"clique_1": sorted(c1), "clique_2": sorted(c2), "intersection": sorted(c1 & c2)}
-            for c1, c2 in combinations(cliques, 2)
-            if d_fails(c1, c2)
-        ),
+    misplaced = (
+        {"x_index": i, "vertex": x}
+        for i, x in enumerate(k_order, start=1)
+        if n - i < 0 or peo.order[n - i] != x
     )
+    return {
+        "peo_property": None if is_valid_peo(g, peo.order) else "not a PEO",
+        "a": next(misplaced, None),
+        "b": next(filter(None, map(b_witness, cliques)), None),
+        "c": next(filter(None, map(c_witness, cliques)), None),
+        "d": next(filter(None, starmap(d_witness, combinations(cliques, 2))), None),
+    }

@@ -61,7 +61,7 @@ def alpha_shift(g: Graph, k_clique=None) -> ShiftResult:
     if k_clique is None:
         k_order = min(tuple(sorted(k)) for k in maximal_cliques(g) if len(k) == d)[::-1]
     else:
-        k_order = _normalize_clique_order(g, k_clique)
+        k_order = _normalize_clique_order(k_clique)
     if len(k_order) != d:
         raise ValueError(f"anchor clique has size {len(k_order)}, clique number is {d}")
     peo = special_peo(g, k_order)

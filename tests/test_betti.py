@@ -464,8 +464,6 @@ def test_homological_profile_examples(bp12):
     p = homological_profile(table_of(bp12))
     assert (p.pd, p.depth, p.is_two_linear, p.kappa_from_betti) == (5, 2, True, 1)
     assert not homological_profile(table_of(Graph.cycle(4))).is_two_linear
-    # accepts a complex directly
-    assert homological_profile(clique_complex(Graph.path(3))).pd == 1
 
 
 def test_depth_equals_connectivity_plus_one(corpus300):

@@ -115,6 +115,8 @@ def test_word_command(capsys):
 
     assert main(["word", "--from-b", "1,0"]) == 2
     capsys.readouterr()
+    assert main(["word", "--from-b", "1, x,3"]) == 2
+    assert capsys.readouterr() == ("", "error: bad --from-b entry 'x': not an integer\n")
     assert main(["word", "SXS"]) == 2
 
 
@@ -383,6 +385,10 @@ def test_verify_argument_validation(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()
     assert main(["verify", "--random", "13", "1", "0"]) == 3
+    assert capsys.readouterr().err == "error: random mode caps n at 12\n"
+    for n in ("1", "0", "-3"):
+        assert main(["verify", "--random", n, "5", "0"]) == 3
+        assert capsys.readouterr() == ("", f"error: random mode draws n from 2..12, got {n}\n")
 
 
 def test_verify_claim_failure_exit_code(bp_file, capsys, monkeypatch):

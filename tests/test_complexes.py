@@ -15,12 +15,10 @@ from cliquevec import (
     is_pure,
     is_shifted,
     maximal_cliques,
-    minimal_nonfaces,
     parse_complex,
     recognize_threshold,
     restrict,
     shifted_vertex_order,
-    skeleton,
 )
 from cliquevec.complexes import CapExceeded
 
@@ -96,53 +94,12 @@ def test_f_vector_matches_clique_vector(bp12):
     assert clique_complex(bp12).f_vector() == (1, 7, 11, 6, 1)
 
 
-def test_skeleton_examples(bp12):
-    one = skeleton(clique_complex(Graph.complete(4)), 1)
-    assert facets(one) == {frozenset(e) for e in Graph.complete(4).edges()}
-    cx = clique_complex(bp12)
-    assert skeleton(cx, cx.dim) == cx
-    sk = skeleton(cx, 1)
-    assert facets(sk) == {frozenset(e) for e in bp12.edges()}
-
-
-def test_one_skeleton_reproduces_graph(corpus_small):
-    for g in corpus_small[:25]:
-        if g.m == 0:
-            continue
-        sk = skeleton(clique_complex(g), 1)
-        edges = {tuple(sorted(f)) for f in sk.facets if len(f) == 2}
-        assert edges == set(g.edges())
-
-
 def test_restrict_examples(bp12):
     cx = clique_complex(Graph.path(3))
     assert restrict(cx, set()).facets == ()
     assert facets(restrict(cx, {0, 2})) == {frozenset({0}), frozenset({2})}
     r = restrict(clique_complex(bp12), {0, 1, 5, 6})
     assert facets(r) == {frozenset({0, 1, 5}), frozenset({6})}
-
-
-def test_minimal_nonfaces_examples():
-    assert minimal_nonfaces(clique_complex(Graph.path(3))) == [frozenset({0, 2})]
-    assert minimal_nonfaces(clique_complex(Graph.complete(5))) == []
-    c4 = clique_complex(Graph.cycle(4))
-    assert minimal_nonfaces(c4) == [frozenset({0, 2}), frozenset({1, 3})]
-
-
-def test_minimal_nonfaces_are_nonedges_for_flag_complexes(corpus_small):
-    for g in corpus_small[:20]:
-        nonedges = {
-            frozenset({u, v})
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        }
-        assert set(minimal_nonfaces(clique_complex(g))) == nonedges
-
-
-def test_minimal_nonfaces_cap():
-    with pytest.raises(CapExceeded):
-        minimal_nonfaces(clique_complex(Graph(20, [])), vertex_cap=16)
 
 
 def test_is_shifted_examples():
@@ -254,7 +211,7 @@ def test_is_matroid_matches_augmentation_axiom():
     # Independence-complex axiom: for faces A, B with |A| < |B| some
     # x in B - A has A + x a face.
     def augmentation_holds(cx):
-        faces = cx.faces(include_empty=True)
+        faces = cx.faces() | {frozenset()}
         return all(
             any(cx.is_face(a | {x}) for x in b - a)
             for a in faces
@@ -305,10 +262,10 @@ def test_non_chordal_matroid_exists():
     assert recognize_threshold(Graph.cycle(4)) is None
 
 
-def test_skeleton_commutes_with_restriction(bp12):
-    cx = clique_complex(bp12)
-    w = {0, 1, 2, 5, 6}
-    assert restrict(skeleton(cx, 1), w) == skeleton(restrict(cx, w), 1)
+def test_is_matroid_cap():
+    assert is_matroid(SimplicialComplex(16, [range(16)]))
+    with pytest.raises(CapExceeded, match="^matroid check capped at 16 vertices$"):
+        is_matroid(SimplicialComplex(17, [range(17)]))
 
 
 def test_complex_text_roundtrip(bp12):

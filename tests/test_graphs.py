@@ -13,11 +13,9 @@ from cliquevec import (
     components,
     cut_component_sum,
     format_graph,
-    induced_subgraph,
     is_chordal,
     parse_graph,
     random_chordal,
-    simplicial_vertices,
     vertex_connectivity,
 )
 from cliquevec.graphs import (
@@ -100,8 +98,8 @@ def test_components_examples(bp12):
     assert components(Graph.path(3))[0] == 1
     two = Graph(2, [])
     assert components(two) == (2, (0, 1))
-    sub, _ = induced_subgraph(bp12, set(range(1, 7)))  # delete x1 = vertex 0
-    assert components(sub)[0] == 2
+    without_x1 = Graph(6, [(u - 1, v - 1) for u, v in bp12.edges() if u])  # delete vertex 0
+    assert components(without_x1)[0] == 2
     assert components(Graph(0))[0] == 0
 
 
@@ -110,18 +108,6 @@ def test_components_labeling_canonical():
     count, labels = components(g)
     assert count == 3
     assert labels == (0, 1, 2, 1, 0)
-
-
-def test_induced_subgraph_examples(bp12):
-    sub, old = induced_subgraph(Graph.complete(4), {1, 3})
-    assert sub.edges() == [(0, 1)]
-    assert old == (1, 3)
-    sub, _ = induced_subgraph(Graph.path(3), {0, 2})
-    assert sub.m == 0
-    sub, old = induced_subgraph(bp12, {0, 1, 5})  # x1, x2, u2
-    assert sub.is_complete() and sub.n == 3
-    with pytest.raises(ValueError):
-        induced_subgraph(Graph.path(3), {0, 9})
 
 
 def test_is_chordal_examples(bp12):
@@ -207,24 +193,6 @@ def test_cut_component_sum_vanishes_below_connectivity(corpus_small):
         for k in range(kappa):
             assert cut_component_sum(g, k) == 0
         assert cut_component_sum(g, kappa) > 0
-
-
-def test_simplicial_vertices_examples(bp12):
-    assert simplicial_vertices(Graph.path(3)) == frozenset({0, 2})
-    assert simplicial_vertices(Graph.complete(4)) == frozenset(range(4))
-    assert simplicial_vertices(bp12) == frozenset({4, 5, 6})
-
-
-def test_two_nonadjacent_simplicial_vertices(corpus_small):
-    from itertools import combinations
-
-    for g in corpus_small:
-        if g.n < 2 or g.is_complete():
-            continue
-        simp = simplicial_vertices(g)
-        assert any(
-            not g.has_edge(u, v) for u, v in combinations(sorted(simp), 2)
-        ), f"no two nonadjacent simplicial vertices in {g.edges()}"
 
 
 def test_random_chordal_properties():

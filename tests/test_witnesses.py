@@ -155,46 +155,28 @@ def test_skip_reports():
 
 def test_special_peo_condition_witnesses(bp12, sun3):
     sun = verify_special_peo(sun3, (3, 4, 5), special_peo(sun3, (3, 4, 5)))
-    assert sun.to_dict() == {
-        "peo_property": {"ok": True, "witness": None},
-        "a": {"ok": True, "witness": None},
-        "b": {
-            "ok": False,
-            "witness": {"clique": [2, 3, 5], "s": [5], "late_non_s_vertex": 3, "early_s_vertex": 5},
-        },
-        "c": {"ok": False, "witness": {"clique": [2, 3, 5], "i": 2, "vertices_with_degree": 0}},
-        "d": {
-            "ok": False,
-            "witness": {"clique_1": [1, 4, 5], "clique_2": [2, 3, 5], "intersection": [5]},
-        },
-        "all_ok": False,
+    assert sun == {
+        "peo_property": None,
+        "a": None,
+        "b": {"clique": [2, 3, 5], "s": [5], "late_non_s_vertex": 3, "early_s_vertex": 5},
+        "c": {"clique": [2, 3, 5], "i": 2, "vertices_with_degree": 0},
+        "d": {"clique_1": [1, 4, 5], "clique_2": [2, 3, 5], "intersection": [5]},
     }
 
     misplaced = verify_special_peo(bp12, (0, 1, 2, 3), Peo((0, 1, 2, 3, 4, 5, 6)))
-    assert misplaced.to_dict() == {
-        "peo_property": {"ok": False, "witness": "not a PEO"},
-        "a": {"ok": False, "witness": {"x_index": 1, "vertex": 0}},
-        "b": {
-            "ok": False,
-            "witness": {"clique": [0, 1, 5], "s": [0, 1], "late_non_s_vertex": 5, "early_s_vertex": 0},
-        },
-        "c": {"ok": False, "witness": {"clique": [0, 1, 5], "i": 3, "vertices_with_degree": 0}},
-        "d": {
-            "ok": False,
-            "witness": {"clique_1": [0, 1, 2, 3], "clique_2": [0, 1, 5], "intersection": [0, 1]},
-        },
-        "all_ok": False,
+    assert misplaced == {
+        "peo_property": "not a PEO",
+        "a": {"x_index": 1, "vertex": 0},
+        "b": {"clique": [0, 1, 5], "s": [0, 1], "late_non_s_vertex": 5, "early_s_vertex": 0},
+        "c": {"clique": [0, 1, 5], "i": 3, "vertices_with_degree": 0},
+        "d": {"clique_1": [0, 1, 2, 3], "clique_2": [0, 1, 5], "intersection": [0, 1]},
     }
 
     not_peo = verify_special_peo(Graph.path(4), (3, 2), Peo((1, 0, 2, 3)))
-    assert not_peo.to_dict() == {
-        "peo_property": {"ok": False, "witness": "not a PEO"},
-        "a": {"ok": True, "witness": None},
-        "b": {
-            "ok": False,
-            "witness": {"clique": [0, 1], "s": [1], "late_non_s_vertex": 0, "early_s_vertex": 1},
-        },
-        "c": {"ok": False, "witness": {"clique": [0, 1], "i": 2, "vertices_with_degree": 0}},
-        "d": {"ok": False, "witness": {"clique_1": [0, 1], "clique_2": [1, 2], "intersection": [1]}},
-        "all_ok": False,
+    assert not_peo == {
+        "peo_property": "not a PEO",
+        "a": None,
+        "b": {"clique": [0, 1], "s": [1], "late_non_s_vertex": 0, "early_s_vertex": 1},
+        "c": {"clique": [0, 1], "i": 2, "vertices_with_degree": 0},
+        "d": {"clique_1": [0, 1], "clique_2": [1, 2], "intersection": [1]},
     }
